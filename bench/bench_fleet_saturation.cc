@@ -209,7 +209,6 @@ runCase(const CaseSpec &spec,
     fc.shards = spec.shards;
     fc.ringCapacity = 8192;
     fc.maxBatch = 64;
-    fc.maxDelayNs = 200 * 1000;
     DecodeFleet fleet(fc, ctx, registryFactory("astrea"));
     net::FleetServer server(fleet);
     fleet.setVerdictSink(
@@ -271,7 +270,6 @@ runSingleBaseline(std::shared_ptr<const ExperimentContext> ctx,
     FleetConfig fc;
     fc.shards = 1;
     fc.maxBatch = 1;
-    fc.maxDelayNs = 0;  // Decode each shot the moment it arrives.
     DecodeFleet fleet(fc, ctx, registryFactory("astrea"));
     net::FleetServer server(fleet);
     fleet.setVerdictSink(

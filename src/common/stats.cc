@@ -75,6 +75,14 @@ Histogram::merge(const Histogram &other)
     total_ += other.total_;
 }
 
+void
+Histogram::clear()
+{
+    std::fill(bins_.begin(), bins_.end(), 0);
+    overflow_ = 0;
+    total_ = 0;
+}
+
 uint64_t
 Histogram::at(size_t key) const
 {

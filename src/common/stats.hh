@@ -53,6 +53,8 @@ class Histogram
 
     void add(size_t key, uint64_t count = 1);
     void merge(const Histogram &other);
+    /** Zero every count in place (keeps the bins' storage). */
+    void clear();
 
     uint64_t total() const { return total_; }
     uint64_t at(size_t key) const;

@@ -30,7 +30,7 @@ SyndromeDriftMonitor::SyndromeDriftMonitor(uint64_t warmup_shots,
                                            size_t max_hw)
     : warmupShots_(std::max<uint64_t>(1, warmup_shots)),
       bucketShots_(std::max<uint64_t>(1, bucket_shots)),
-      threshold_(threshold), baseline_(max_hw)
+      threshold_(threshold), baseline_(max_hw), recent_(max_hw)
 {
     ring_.assign(std::max<size_t>(1, ring_slots), Histogram(max_hw));
 }
@@ -58,21 +58,23 @@ SyndromeDriftMonitor::rotateLocked()
     // Merge the ring (the just-completed bucket included) and compare
     // against the baseline: chi2 = 1/2 sum (p-q)^2/(p+q) over the
     // per-weight frequencies, overflow folded into the last term.
-    Histogram recent(baseline_.maxKey());
+    // Merged into a member so the shard worker that completes a
+    // bucket does not allocate.
+    recent_.clear();
     for (const Histogram &h : ring_)
-        recent.merge(h);
+        recent_.merge(h);
 
     double chi = 0.0;
-    if (recent.total() > 0 && baseline_.total() > 0) {
+    if (recent_.total() > 0 && baseline_.total() > 0) {
         for (size_t k = 0; k <= baseline_.maxKey() + 1; k++) {
             double p = k <= baseline_.maxKey()
                            ? baseline_.frequency(k)
                            : static_cast<double>(baseline_.overflow()) /
                                  static_cast<double>(baseline_.total());
-            double q = k <= recent.maxKey()
-                           ? recent.frequency(k)
-                           : static_cast<double>(recent.overflow()) /
-                                 static_cast<double>(recent.total());
+            double q = k <= recent_.maxKey()
+                           ? recent_.frequency(k)
+                           : static_cast<double>(recent_.overflow()) /
+                                 static_cast<double>(recent_.total());
             if (p + q > 0.0)
                 chi += (p - q) * (p - q) / (p + q);
         }
@@ -93,7 +95,7 @@ SyndromeDriftMonitor::rotateLocked()
 
     // Advance and clear the slot the next bucket streams into.
     ringPos_ = (ringPos_ + 1) % ring_.size();
-    ring_[ringPos_] = Histogram(baseline_.maxKey());
+    ring_[ringPos_].clear();
 }
 
 bool
@@ -621,7 +623,7 @@ DecodeServiceCore::statuszJson() const
     telemetry::JsonWriter w;
     w.beginObject();
     w.kv("service", "astrea_serve");
-    w.kv("schema_version", uint64_t{5});
+    w.kv("schema_version", uint64_t{6});
     w.kv("healthy", healthy_.load());
     w.kv("uptime_ticks", tick);
 

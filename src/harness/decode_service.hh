@@ -157,6 +157,7 @@ class SyndromeDriftMonitor
     Histogram baseline_;
     uint64_t baselineCount_ = 0;
     std::vector<Histogram> ring_;
+    Histogram recent_;  ///< The merged ring, rebuilt by rotateLocked().
     size_t ringPos_ = 0;
     uint64_t bucketCount_ = 0;
     double lastChi_ = 0.0;

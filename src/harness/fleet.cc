@@ -1,6 +1,7 @@
 #include "harness/fleet.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
 
@@ -20,11 +21,12 @@ struct DecodeFleet::Shard
     }
 
     MpscRing<FleetJob> ring;
+    /** 1 while the worker is parked (or about to park) in wait(). */
+    alignas(64) std::atomic<uint32_t> parked{0};
 
-    // Worker-thread-owned (no locking): the pending block being
-    // coalesced, plus reused decode buffers.
+    // Worker-thread-owned (no locking): the block being flushed, plus
+    // reused decode buffers.
     std::vector<FleetJob> pendingJobs;
-    size_t pending = 0;
     std::unique_ptr<Decoder> decoder;
     SyndromeBatch batch;
     std::vector<DecodeResult> results;
@@ -139,20 +141,39 @@ DecodeFleet::submit(FleetJob &job)
         return FleetSubmit::RingFull;
     }
     enqueuedTotal_.fetch_add(1, std::memory_order_relaxed);
+    // Pairs with the worker's fence between parking and re-checking
+    // the ring: either it sees this push or we see it parked.
+    std::atomic_thread_fence(std::memory_order_seq_cst);
+    wakeIfParked(s);
     return FleetSubmit::Enqueued;
 }
 
 void
-DecodeFleet::flushLocked(Shard &s, uint64_t now_ns)
+DecodeFleet::wakeIfParked(Shard &s)
+{
+    if (s.parked.load(std::memory_order_relaxed) != 0) {
+        s.parked.store(0, std::memory_order_relaxed);
+        s.parked.notify_one();
+    }
+}
+
+bool
+DecodeFleet::workerParked(unsigned shard) const
+{
+    return shards_[shard]->parked.load(std::memory_order_relaxed) != 0;
+}
+
+void
+DecodeFleet::flushLocked(Shard &s, size_t n, uint64_t now_ns)
 {
     s.batch.clear();
-    for (size_t i = 0; i < s.pending; i++) {
+    for (size_t i = 0; i < n; i++) {
         const FleetJob &j = s.pendingJobs[i];
         s.batch.add({j.defects.data(), j.hw});
     }
     s.decoder->decodeBatch(s.batch, s.results, s.scratch);
 
-    for (size_t i = 0; i < s.pending; i++) {
+    for (size_t i = 0; i < n; i++) {
         const FleetJob &j = s.pendingJobs[i];
         const DecodeResult &dr = s.results[i];
         if (account_)
@@ -165,48 +186,54 @@ DecodeFleet::flushLocked(Shard &s, uint64_t now_ns)
             v.obsMask = dr.obsMask;
             v.gaveUp = dr.gaveUp;
             v.latencyNs = now_ns > j.ingestNs ? now_ns - j.ingestNs : 0;
+            v.more = i + 1 < n;
             sink_(v);
         }
     }
     batchesTotal_.fetch_add(1, std::memory_order_relaxed);
-    decodedTotal_.fetch_add(s.pending, std::memory_order_relaxed);
-    s.pending = 0;
+    decodedTotal_.fetch_add(n, std::memory_order_relaxed);
 }
 
 size_t
 DecodeFleet::pumpShard(unsigned shard, uint64_t now_ns)
 {
     Shard &s = *shards_[shard];
-    while (s.pending < config_.maxBatch &&
-           s.ring.tryPop(s.pendingJobs[s.pending]))
-        s.pending++;
-    if (s.pending == 0)
-        return 0;
-    const bool full = s.pending >= config_.maxBatch;
-    const uint64_t oldest = s.pendingJobs[0].ingestNs;
-    const bool aged =
-        now_ns >= oldest && now_ns - oldest >= config_.maxDelayNs;
-    if (!full && !aged)
-        return 0;
-    const size_t n = s.pending;
-    flushLocked(s, now_ns);
+    size_t n = 0;
+    while (n < config_.maxBatch && s.ring.tryPop(s.pendingJobs[n]))
+        n++;
+    if (n > 0)
+        flushLocked(s, n, now_ns);
     return n;
 }
 
 size_t
 DecodeFleet::flushShard(unsigned shard, uint64_t now_ns)
 {
-    Shard &s = *shards_[shard];
     size_t n = 0;
-    for (;;) {
-        while (s.pending < config_.maxBatch &&
-               s.ring.tryPop(s.pendingJobs[s.pending]))
-            s.pending++;
-        if (s.pending == 0)
-            return n;
-        n += s.pending;
-        flushLocked(s, now_ns);
+    while (size_t k = pumpShard(shard, now_ns))
+        n += k;
+    return n;
+}
+
+void
+DecodeFleet::workerLoop(unsigned shard)
+{
+    Shard &s = *shards_[shard];
+    while (running_.load(std::memory_order_relaxed)) {
+        if (pumpShard(shard, now_()) > 0)
+            continue;
+        // Park: announce it, fence, then re-check the ring and
+        // running_ so a push or stop() between the empty pump and the
+        // wait cannot be missed (see submit() and stop()).
+        s.parked.store(1, std::memory_order_relaxed);
+        std::atomic_thread_fence(std::memory_order_seq_cst);
+        if (s.ring.sizeApprox() == 0 &&
+            running_.load(std::memory_order_relaxed))
+            s.parked.wait(1, std::memory_order_relaxed);
+        s.parked.store(0, std::memory_order_relaxed);
     }
+    // Graceful drain: decode whatever is still queued.
+    flushShard(shard, now_());
 }
 
 void
@@ -215,21 +242,8 @@ DecodeFleet::start()
     if (running_.exchange(true))
         return;
     threads_.reserve(config_.shards);
-    for (unsigned i = 0; i < config_.shards; i++) {
-        threads_.emplace_back([this, i] {
-            while (running_.load(std::memory_order_relaxed)) {
-                if (pumpShard(i, now_()) == 0) {
-                    // Nothing flushed: sleep a fraction of maxDelay so
-                    // the age-based flush fires close to on time.
-                    std::this_thread::sleep_for(
-                        std::chrono::nanoseconds(std::max<uint64_t>(
-                            1000, config_.maxDelayNs / 8)));
-                }
-            }
-            // Graceful drain: decode whatever is still queued.
-            flushShard(i, now_());
-        });
-    }
+    for (unsigned i = 0; i < config_.shards; i++)
+        threads_.emplace_back([this, i] { workerLoop(i); });
 }
 
 void
@@ -237,6 +251,9 @@ DecodeFleet::stop()
 {
     if (!running_.exchange(false))
         return;
+    std::atomic_thread_fence(std::memory_order_seq_cst);
+    for (auto &s : shards_)
+        wakeIfParked(*s);
     for (auto &t : threads_)
         t.join();
     threads_.clear();
@@ -287,7 +304,6 @@ DecodeFleet::writeStatusz(telemetry::JsonWriter &w) const
     w.kv("ring_capacity",
          static_cast<uint64_t>(shards_[0]->ring.capacity()));
     w.kv("max_batch", static_cast<uint64_t>(config_.maxBatch));
-    w.kv("max_delay_ns", config_.maxDelayNs);
     w.kv("shed_low_watermark", config_.shedLowWatermark);
     w.kv("shed_high_watermark", config_.shedHighWatermark);
     w.kv("max_priority", uint64_t{config_.maxPriority});

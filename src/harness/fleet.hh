@@ -12,10 +12,11 @@
  * decode in order on one worker while shards run independently. A
  * shard owns a bounded lock-free MPSC ring (common/mpsc_ring.hh); its
  * worker drains arrivals into a pending block and flushes it through
- * the HW-bucketed wide decodeBatch path (PR 9) under an admission
- * policy: flush when maxBatch shots are pending, or when the oldest
- * pending shot has waited maxDelayNs — batching amortizes dispatch
- * without unbounded queueing latency.
+ * the HW-bucketed wide decodeBatch path. Coalescing is work-conserving:
+ * a worker flushes whatever it popped as soon as the ring is drained,
+ * capped at maxBatch shots, so batches fill under load and a lone shot
+ * never waits for company. An idle worker parks on a futex (C++20
+ * atomic wait) and submit() wakes it.
  *
  * Backpressure is priority-aware load shedding at submit(): between
  * the low and high queue-depth watermarks the minimum admitted
@@ -61,10 +62,8 @@ struct FleetConfig
     unsigned shards = 2;
     /** Per-shard ring capacity (rounded up to a power of two). */
     size_t ringCapacity = 1024;
-    /** Coalescing: flush at this many pending shots... */
+    /** Most shots one flush (one decodeBatch call) carries. */
     size_t maxBatch = 64;
-    /** ...or when the oldest pending shot is this old. */
-    uint64_t maxDelayNs = 200 * 1000;
     /** Shedding ramp start/end, as fractions of ring capacity. */
     double shedLowWatermark = 0.5;
     double shedHighWatermark = 0.9;
@@ -98,6 +97,10 @@ struct FleetVerdict
     bool error = false;
     /** Ingest-to-verdict wall time; 0 for shed shots. */
     uint64_t latencyNs = 0;
+    /** Set on every verdict of a flush except the last: the sink may
+     *  hold this one back and write the whole flush at once when the
+     *  unmarked verdict arrives. Shed and error verdicts are unmarked. */
+    bool more = false;
 };
 
 /** submit() outcome (Shed and RingFull both emit a shed verdict). */
@@ -144,19 +147,22 @@ class DecodeFleet
     FleetSubmit submit(FleetJob &job);
 
     /**
-     * Drain and possibly flush one shard (the worker loop's body).
-     * Returns the number of shots decoded (0 = nothing ready, or the
-     * coalescing policy is still waiting for maxBatch/maxDelay).
-     * Tests call this directly; do not mix with start().
+     * Pop up to maxBatch shots off one shard's ring and decode them as
+     * one flush (the worker loop's body). Returns the number of shots
+     * decoded; 0 means the ring was empty. Tests call this directly;
+     * do not mix with start().
      */
     size_t pumpShard(unsigned shard, uint64_t now_ns);
 
-    /** Flush a shard's pending shots regardless of age (shutdown). */
+    /** Pump a shard until its ring is empty (shutdown drain). */
     size_t flushShard(unsigned shard, uint64_t now_ns);
 
-    /** Launch one worker thread per shard / join them. */
+    /** Launch one worker thread per shard / wake and join them. */
     void start();
     void stop();
+
+    /** Whether shard's worker is parked waiting for a submit. */
+    bool workerParked(unsigned shard) const;
 
     /** Minimum admitted priority at queue depth `depth` (exposed for
      *  the shed-order tests; deterministic and stateless). */
@@ -187,7 +193,12 @@ class DecodeFleet
   private:
     struct Shard;
 
-    void flushLocked(Shard &s, uint64_t now_ns);
+    /** Decode s.pendingJobs[0, n) as one batch and emit verdicts. */
+    void flushLocked(Shard &s, size_t n, uint64_t now_ns);
+    void workerLoop(unsigned shard);
+    /** Clear a parked worker's flag and futex-wake it. Call after a
+     *  seq_cst fence that follows the change the worker must see. */
+    static void wakeIfParked(Shard &s);
 
     FleetConfig config_;
     std::shared_ptr<const ExperimentContext> ctx_;

@@ -105,7 +105,8 @@ void
 appendFleetVerdict(std::vector<uint8_t> &out, uint32_t stream_id,
                    uint32_t seq, uint64_t obs_mask, uint8_t flags)
 {
-    appendFleetHeader(out, FleetFrameType::Verdict, stream_id, seq, 9);
+    appendFleetHeader(out, FleetFrameType::Verdict, stream_id, seq,
+                      kFleetVerdictBytes - kFleetHeaderBytes);
     put64(out, obs_mask);
     out.push_back(flags);
 }

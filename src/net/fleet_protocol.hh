@@ -59,6 +59,8 @@ enum class FleetFrameType : uint8_t
 constexpr uint8_t kVerdictGaveUp = 1u << 0;
 constexpr uint8_t kVerdictShed = 1u << 1;
 constexpr uint8_t kVerdictError = 1u << 2;
+/** Encoded Verdict frame: header + u64 observable mask + u8 flags. */
+constexpr size_t kFleetVerdictBytes = kFleetHeaderBytes + 9;
 
 /** Decoded frame header (host byte order). */
 struct FleetFrameHeader

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cstdint>
 #include <cstring>
 
 #include "common/bitvec.hh"
@@ -37,6 +38,19 @@ sendAllFd(int fd, const uint8_t *data, size_t len)
     return true;
 }
 
+uint8_t
+verdictFlags(const FleetVerdict &v)
+{
+    uint8_t flags = 0;
+    if (v.gaveUp)
+        flags |= kVerdictGaveUp;
+    if (v.shed)
+        flags |= kVerdictShed;
+    if (v.error)
+        flags |= kVerdictError;
+    return flags;
+}
+
 } // namespace
 
 /** One ingest connection; all buffers reused across frames. */
@@ -57,13 +71,36 @@ struct FleetServer::Conn
     BitVec syndrome;
     std::vector<uint32_t> defects;
 
-    // Verdict writes come from shard workers and the submit path.
+    // Serializes sends from shard workers and writeNow(), so frames
+    // never interleave; writeBuf is writeNow()'s buffer.
     std::mutex writeMu;
     std::vector<uint8_t> writeBuf;
 };
 
+/** A shard's decoded verdicts of the flush in progress; owned by the
+ *  thread pumping that shard. All buffers hold one full flush. */
+struct FleetServer::Outbox
+{
+    explicit Outbox(size_t max_batch)
+    {
+        conns.reserve(max_batch);
+        frames.reserve(max_batch * kFleetVerdictBytes);
+        frameConn.reserve(max_batch);
+        gather.reserve(max_batch * kFleetVerdictBytes);
+    }
+
+    std::vector<std::shared_ptr<Conn>> conns;  ///< Touched this flush.
+    std::vector<uint8_t> frames;  ///< Encoded verdicts, in order.
+    std::vector<uint32_t> frameConn;  ///< Index into conns per frame.
+    std::vector<uint8_t> gather;  ///< One connection's frames.
+};
+
 FleetServer::FleetServer(DecodeFleet &fleet) : fleet_(fleet)
 {
+    outboxes_.reserve(fleet.config().shards);
+    for (unsigned i = 0; i < fleet.config().shards; i++)
+        outboxes_.push_back(
+            std::make_unique<Outbox>(fleet.config().maxBatch));
 }
 
 FleetServer::~FleetServer()
@@ -126,13 +163,17 @@ FleetServer::stop()
         if (!acceptor_.joinable())
             return;
     }
-    if (listenFd_ >= 0) {
+    // Unblock accept() and join the acceptor before closing: closing
+    // first would race its read of listenFd_, and accept() could land
+    // on a descriptor number already reused elsewhere.
+    if (listenFd_ >= 0)
         ::shutdown(listenFd_, SHUT_RDWR);
+    if (acceptor_.joinable())
+        acceptor_.join();
+    if (listenFd_ >= 0) {
         ::close(listenFd_);
         listenFd_ = -1;
     }
-    if (acceptor_.joinable())
-        acceptor_.join();
     {
         std::lock_guard<std::mutex> lock(connsMu_);
         for (auto &c : conns_) {
@@ -245,7 +286,7 @@ FleetServer::readerLoop(std::shared_ptr<Conn> conn)
                 v.connId = conn->id;
                 v.gaveUp = true;
                 v.error = true;
-                deliver(v);
+                writeNow(v);
                 continue;
             }
             job.hw = static_cast<uint16_t>(conn->defects.size());
@@ -262,33 +303,88 @@ FleetServer::readerLoop(std::shared_ptr<Conn> conn)
     ::shutdown(conn->fd, SHUT_RDWR);
 }
 
-void
-FleetServer::deliver(const FleetVerdict &v)
+std::shared_ptr<FleetServer::Conn>
+FleetServer::findConn(uint32_t conn_id)
 {
-    std::shared_ptr<Conn> conn;
-    {
-        std::lock_guard<std::mutex> lock(connsMu_);
-        if (v.connId < conns_.size())
-            conn = conns_[v.connId];
-    }
+    std::lock_guard<std::mutex> lock(connsMu_);
+    if (conn_id < conns_.size())
+        return conns_[conn_id];
+    return nullptr;
+}
+
+void
+FleetServer::writeNow(const FleetVerdict &v)
+{
+    std::shared_ptr<Conn> conn = findConn(v.connId);
     if (!conn || !conn->open.load())
         return;
-
-    uint8_t flags = 0;
-    if (v.gaveUp)
-        flags |= kVerdictGaveUp;
-    if (v.shed)
-        flags |= kVerdictShed;
-    if (v.error)
-        flags |= kVerdictError;
-
     std::lock_guard<std::mutex> lock(conn->writeMu);
     conn->writeBuf.clear();
     appendFleetVerdict(conn->writeBuf, v.streamId, v.seq, v.obsMask,
-                       flags);
+                       verdictFlags(v));
     if (!sendAllFd(conn->fd, conn->writeBuf.data(),
                    conn->writeBuf.size()))
         conn->open = false;
+}
+
+void
+FleetServer::deliver(const FleetVerdict &v)
+{
+    if (v.shed || v.error) {
+        writeNow(v);
+        return;
+    }
+    Outbox &box = *outboxes_[fleet_.shardFor(v.streamId)];
+    // Newest first: a flush's verdicts mostly share one connection.
+    size_t slot = SIZE_MAX;
+    for (size_t k = box.conns.size(); k-- > 0;) {
+        if (box.conns[k]->id == v.connId) {
+            slot = k;
+            break;
+        }
+    }
+    if (slot == SIZE_MAX) {
+        std::shared_ptr<Conn> conn = findConn(v.connId);
+        if (conn && conn->open.load()) {
+            slot = box.conns.size();
+            box.conns.push_back(std::move(conn));
+        }
+    }
+    if (slot != SIZE_MAX) {  // Else the connection is gone: drop it.
+        appendFleetVerdict(box.frames, v.streamId, v.seq, v.obsMask,
+                           verdictFlags(v));
+        box.frameConn.push_back(static_cast<uint32_t>(slot));
+    }
+    if (!v.more)
+        writeOut(box);
+}
+
+void
+FleetServer::writeOut(Outbox &box)
+{
+    for (size_t k = 0; k < box.conns.size(); k++) {
+        Conn &conn = *box.conns[k];
+        const std::vector<uint8_t> *bytes = &box.frames;
+        if (box.conns.size() > 1) {
+            box.gather.clear();
+            for (size_t f = 0; f < box.frameConn.size(); f++) {
+                if (box.frameConn[f] != k)
+                    continue;
+                const uint8_t *frame =
+                    box.frames.data() + f * kFleetVerdictBytes;
+                box.gather.insert(box.gather.end(), frame,
+                                  frame + kFleetVerdictBytes);
+            }
+            bytes = &box.gather;
+        }
+        std::lock_guard<std::mutex> lock(conn.writeMu);
+        if (conn.open.load() &&
+            !sendAllFd(conn.fd, bytes->data(), bytes->size()))
+            conn.open = false;
+    }
+    box.conns.clear();
+    box.frames.clear();
+    box.frameConn.clear();
 }
 
 } // namespace net

@@ -9,7 +9,9 @@
  * Verdict frames are written back on the connection the shot arrived
  * on (streams are logical: one connection multiplexes any number of
  * stream ids, so a thousand streams do not need a thousand sockets —
- * one reader thread per connection suffices).
+ * one reader thread per connection suffices). A flush's decoded
+ * verdicts are buffered per shard and written with one send per
+ * connection when the flush's last (unmarked) verdict arrives.
  *
  * A malformed frame (bad magic/version/type, oversized payload,
  * undecodable codec bytes) closes that connection cleanly after
@@ -56,15 +58,27 @@ class FleetServer
     /**
      * Write a verdict frame back to the connection the shot arrived
      * on (FleetVerdict::connId); drops silently if it is gone. This
-     * is the fleet's verdict sink; thread-safe.
+     * is the fleet's verdict sink.
+     *
+     * Shed and error verdicts are written at once, from any thread.
+     * A decoded verdict is buffered in its shard's outbox, which only
+     * the thread pumping that shard may touch; the flush's unmarked
+     * verdict (FleetVerdict::more == false) then writes every
+     * connection the flush touched with one send each. So when
+     * pumpShard returns, each verdict it produced has been passed to
+     * send, or its connection is closed.
      */
     void deliver(const FleetVerdict &v);
 
   private:
     struct Conn;
+    struct Outbox;
 
     void acceptLoop();
     void readerLoop(std::shared_ptr<Conn> conn);
+    std::shared_ptr<Conn> findConn(uint32_t conn_id);
+    void writeNow(const FleetVerdict &v);
+    void writeOut(Outbox &box);
 
     DecodeFleet &fleet_;
     std::thread acceptor_;
@@ -75,6 +89,9 @@ class FleetServer
     std::mutex connsMu_;
     std::vector<std::shared_ptr<Conn>> conns_;  ///< Indexed by connId.
     std::vector<std::thread> readers_;
+
+    /** One per fleet shard, sized at construction. */
+    std::vector<std::unique_ptr<Outbox>> outboxes_;
 };
 
 } // namespace net

@@ -195,15 +195,18 @@ HttpServer::stop()
     if (!running_ && !acceptor_.joinable())
         return;
     running_ = false;
-    if (listenFd_ >= 0) {
-        // Unblock accept(): shutdown makes the blocked call return on
-        // Linux; close releases the port.
+    // Unblock accept() (shutdown makes the blocked call return on
+    // Linux) and join the acceptor before close releases the port:
+    // closing first would race its read of listenFd_, and accept()
+    // could land on a descriptor number already reused elsewhere.
+    if (listenFd_ >= 0)
         ::shutdown(listenFd_, SHUT_RDWR);
+    if (acceptor_.joinable())
+        acceptor_.join();
+    if (listenFd_ >= 0) {
         ::close(listenFd_);
         listenFd_ = -1;
     }
-    if (acceptor_.joinable())
-        acceptor_.join();
 }
 
 void

@@ -9,12 +9,14 @@
  * full decode pass over HW <= 10 syndromes must perform zero heap
  * allocations for the hardware decoders named in the issue: astrea,
  * astrea-g, greedy and lut. The same bar holds with per-decode tail
- * tracing armed and every trace retained, and for the audit queue's
- * producer side.
+ * tracing armed and every trace retained, for the audit queue's
+ * producer side, and for the fleet's ingest -> decode -> account ->
+ * verdict-send path as the decode service composes it.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -27,9 +29,12 @@
 #include "common/rng.hh"
 #include "common/thread_pool.hh"
 #include "decoders/registry.hh"
+#include "harness/decode_service.hh"
 #include "harness/fleet.hh"
 #include "harness/memory_experiment.hh"
+#include "net/fleet_client.hh"
 #include "net/fleet_protocol.hh"
+#include "net/fleet_server.hh"
 #include "telemetry/decode_trace.hh"
 
 namespace astrea
@@ -320,7 +325,6 @@ TEST(AllocCounter, FleetIngestToDecodePathIsAllocationFree)
     fc.shards = 1;
     fc.ringCapacity = 512;
     fc.maxBatch = 32;
-    fc.maxDelayNs = 0;  // Every pump flushes: exercises decode too.
     DecodeFleet fleet(fc, ctx, registryFactory("astrea"));
     uint64_t fake_now = 1;
     fleet.setNowFunction([&fake_now] { return fake_now; });
@@ -395,6 +399,99 @@ TEST(AllocCounter, FleetIngestToDecodePathIsAllocationFree)
         << " steady-state shots";
     EXPECT_EQ(verdicts.load(), 3 * wire_frames.size());
     EXPECT_EQ(fleet.decodedTotal(), 3 * wire_frames.size());
+}
+
+TEST(AllocCounter, FleetServeCompositionIsAllocationFree)
+{
+    // The fleet as serve and perfbench compose it: the service core's
+    // accountFleetShot as the account hook and FleetServer::deliver as
+    // the verdict sink, writing to one real loopback connection. Tiny
+    // drift buckets make the drift monitor rotate every 8 shots inside
+    // the measured pass; the shard is pumped synchronously.
+    ServeConfig sc;
+    sc.distance = 5;
+    sc.physicalErrorRate = 1e-3;
+    sc.workers = 0;
+    sc.warmupShots = 64;
+    sc.driftBucketShots = 8;
+    // Buckets this small are noisy; a threshold above chi-square's
+    // range of [0, 1] keeps the (allocating) alarm log out of the
+    // measurement.
+    sc.driftThreshold = 2.0;
+    sc.fleetEnabled = true;
+    sc.fleet.shards = 1;
+    sc.fleet.ringCapacity = 512;
+    sc.fleet.maxBatch = 32;
+    DecodeServiceCore core(sc);
+    DecodeFleet &fleet = *core.fleet();
+    net::FleetServer server(fleet);
+    fleet.setVerdictSink(
+        [&server](const FleetVerdict &v) { server.deliver(v); });
+    std::string error;
+    ASSERT_TRUE(server.start("127.0.0.1", 0, &error)) << error;
+    net::FleetClient client;
+    ASSERT_TRUE(client.connect("127.0.0.1", server.port(), &error))
+        << error;
+
+    // Jobs routed back to the client's connection (the first accepted
+    // connection has id 0).
+    ExperimentConfig ecfg;
+    ecfg.distance = 5;
+    ecfg.physicalErrorRate = 1e-3;
+    ExperimentContext ctx(ecfg);
+    Rng rng(57);
+    BitVec dets, obs;
+    std::vector<FleetJob> jobs;
+    size_t guard = 0;
+    while (jobs.size() < 128 && ++guard < 2000000) {
+        ctx.sampler().sample(rng, dets, obs);
+        const std::vector<uint32_t> defects = dets.onesIndices();
+        if (defects.size() > 10)
+            continue;
+        FleetJob j;
+        j.streamId = static_cast<uint32_t>(jobs.size() % 16);
+        j.seq = static_cast<uint32_t>(jobs.size());
+        j.connId = 0;
+        j.priority = fleet.config().maxPriority;
+        j.hw = static_cast<uint16_t>(defects.size());
+        std::copy(defects.begin(), defects.end(), j.defects.begin());
+        jobs.push_back(j);
+    }
+    ASSERT_EQ(jobs.size(), 128u);
+
+    // Flushes of 8 (the pump after every eighth submit), then a drain.
+    auto pass = [&] {
+        for (size_t i = 0; i < jobs.size(); i++) {
+            FleetJob j = jobs[i];
+            ASSERT_EQ(fleet.submit(j), FleetSubmit::Enqueued);
+            if (i % 8 == 7)
+                fleet.pumpShard(0, i);
+        }
+        fleet.flushShard(0, jobs.size());
+    };
+    auto read_all = [&] {
+        net::FleetClientVerdict v;
+        for (size_t i = 0; i < jobs.size(); i++) {
+            ASSERT_TRUE(client.readVerdict(v)) << "verdict " << i;
+            EXPECT_FALSE(v.shed);
+        }
+    };
+
+    pass();
+    read_all();
+    pass();
+    read_all();
+    const uint64_t before = allocCount();
+    pass();
+    const uint64_t allocs = allocCount() - before;
+    read_all();
+    EXPECT_EQ(allocs, 0u)
+        << "serve-composed fleet allocated " << allocs << " times across "
+        << jobs.size() << " steady-state shots";
+    EXPECT_EQ(core.totalDecodes(), 3 * jobs.size());
+
+    client.close();
+    server.stop();
 }
 
 } // namespace

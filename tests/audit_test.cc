@@ -500,7 +500,7 @@ TEST(DecodeServiceAuditTest, MetricsAndStatuszExposeAuditFamilies)
 
     telemetry::JsonValue doc;
     ASSERT_TRUE(telemetry::parseJson(core.statuszJson(), doc));
-    EXPECT_EQ(doc["schema_version"].asUint(), 5u);
+    EXPECT_EQ(doc["schema_version"].asUint(), 6u);
     ASSERT_TRUE(doc.has("audit"));
     EXPECT_TRUE(doc["audit"]["enabled"].asBool(false));
     EXPECT_GT(doc["audit"]["completed"].asUint(0), 0u);

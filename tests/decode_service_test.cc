@@ -128,7 +128,7 @@ TEST(DecodeServiceCoreTest, StatuszSchemaParses)
     telemetry::JsonValue doc;
     ASSERT_TRUE(telemetry::parseJson(core.statuszJson(), doc));
     EXPECT_EQ(doc["service"].asString(), "astrea_serve");
-    EXPECT_EQ(doc["schema_version"].asUint(), 5u);
+    EXPECT_EQ(doc["schema_version"].asUint(), 6u);
     EXPECT_TRUE(doc["healthy"].asBool());
     EXPECT_EQ(doc["config"]["d"].asUint(), 3u);
     EXPECT_EQ(doc["config"]["decoder"].asString(), "astrea");

@@ -2,9 +2,11 @@
  * @file
  * Tests for the sharded decode fleet: the lock-free MPSC ring, the
  * binary ingest protocol (including truncation and bit-flip fuzz), the
- * coalescing admission policy under an injected clock, priority-ramp
- * load shedding, and end-to-end TCP ingest parity against a direct
- * decodeBatch on the same syndromes.
+ * work-conserving flush policy and its flush-boundary marks under an
+ * injected clock, priority-ramp load shedding, parked workers woken by
+ * submit() and stop(), one flush written to several connections, and
+ * end-to-end TCP ingest parity against a direct decodeBatch on the
+ * same syndromes.
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +17,8 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstring>
 #include <map>
 #include <memory>
@@ -25,6 +29,7 @@
 #include "common/bitvec.hh"
 #include "common/mpsc_ring.hh"
 #include "common/rng.hh"
+#include "compression/syndrome_codec.hh"
 #include "decoders/decoder.hh"
 #include "decoders/registry.hh"
 #include "harness/fleet.hh"
@@ -299,13 +304,12 @@ jobWith(uint32_t stream, uint32_t seq, uint8_t priority,
     return j;
 }
 
-TEST(DecodeFleet, CoalescesUntilMaxBatchThenFlushes)
+TEST(DecodeFleet, PumpFlushesWhatItPoppedCappedAtMaxBatch)
 {
     FleetConfig fc;
     fc.shards = 1;
     fc.ringCapacity = 64;
     fc.maxBatch = 4;
-    fc.maxDelayNs = uint64_t{1} << 60;  // Age never triggers.
     DecodeFleet fleet(fc, smallContext(), registryFactory("astrea"));
 
     uint64_t fake_now = 1000;
@@ -314,33 +318,40 @@ TEST(DecodeFleet, CoalescesUntilMaxBatchThenFlushes)
     fleet.setVerdictSink(
         [&](const FleetVerdict &v) { verdicts.push_back(v); });
 
-    for (uint32_t i = 0; i < 3; i++) {
-        FleetJob j = jobWith(0, i, 0, {0, 1});
+    // An empty ring flushes nothing.
+    EXPECT_EQ(fleet.pumpShard(0, fake_now), 0u);
+
+    // A lone shot flushes at once: nothing waits for company.
+    FleetJob first = jobWith(0, 0, 0, {0, 1});
+    ASSERT_EQ(fleet.submit(first), FleetSubmit::Enqueued);
+    EXPECT_EQ(fleet.pumpShard(0, fake_now), 1u);
+    ASSERT_EQ(verdicts.size(), 1u);
+
+    // Six queued: one pump takes maxBatch, the next takes the rest.
+    for (uint32_t i = 1; i <= 6; i++) {
+        FleetJob j = jobWith(0, i, 0, {2, 3});
         ASSERT_EQ(fleet.submit(j), FleetSubmit::Enqueued);
     }
-    // Three pending, below maxBatch, no age: nothing decodes.
-    EXPECT_EQ(fleet.pumpShard(0, fake_now), 0u);
-    EXPECT_TRUE(verdicts.empty());
-
-    FleetJob j = jobWith(0, 3, 0, {2, 3});
-    ASSERT_EQ(fleet.submit(j), FleetSubmit::Enqueued);
     EXPECT_EQ(fleet.pumpShard(0, fake_now), 4u);
-    ASSERT_EQ(verdicts.size(), 4u);
-    EXPECT_EQ(fleet.batchesTotal(), 1u);
-    EXPECT_EQ(fleet.decodedTotal(), 4u);
-    for (uint32_t i = 0; i < 4; i++) {
+    EXPECT_EQ(verdicts.size(), 5u);
+    EXPECT_EQ(fleet.pumpShard(0, fake_now), 2u);
+    EXPECT_EQ(fleet.pumpShard(0, fake_now), 0u);
+
+    ASSERT_EQ(verdicts.size(), 7u);
+    EXPECT_EQ(fleet.batchesTotal(), 3u);
+    EXPECT_EQ(fleet.decodedTotal(), 7u);
+    for (uint32_t i = 0; i < 7; i++) {
         EXPECT_EQ(verdicts[i].seq, i);
         EXPECT_FALSE(verdicts[i].shed);
     }
 }
 
-TEST(DecodeFleet, FlushesWhenOldestPendingShotAges)
+TEST(DecodeFleet, LatencyRunsFromSubmitToFlushStart)
 {
     FleetConfig fc;
     fc.shards = 1;
     fc.ringCapacity = 64;
     fc.maxBatch = 100;
-    fc.maxDelayNs = 1000;
     DecodeFleet fleet(fc, smallContext(), registryFactory("astrea"));
 
     uint64_t fake_now = 5000;
@@ -355,15 +366,108 @@ TEST(DecodeFleet, FlushesWhenOldestPendingShotAges)
     FleetJob b = jobWith(0, 1, 0, {1});
     ASSERT_EQ(fleet.submit(b), FleetSubmit::Enqueued);
 
-    // Oldest is 400ns old at 5400 and 999ns old at 5999: no flush.
-    EXPECT_EQ(fleet.pumpShard(0, 5400), 0u);
-    EXPECT_EQ(fleet.pumpShard(0, 5999), 0u);
-    EXPECT_TRUE(verdicts.empty());
-    // At exactly maxDelay the whole pending block flushes.
+    // Both shots flush together; each verdict's latency runs from its
+    // own submit to the flush's start time.
     EXPECT_EQ(fleet.pumpShard(0, 6000), 2u);
     ASSERT_EQ(verdicts.size(), 2u);
     EXPECT_EQ(verdicts[0].latencyNs, 1000u);
     EXPECT_EQ(verdicts[1].latencyNs, 600u);
+}
+
+TEST(DecodeFleet, FlushMarksEveryVerdictButTheLast)
+{
+    FleetConfig fc;
+    fc.shards = 1;
+    fc.ringCapacity = 8;
+    fc.maxBatch = 4;
+    DecodeFleet fleet(fc, smallContext(), registryFactory("astrea"));
+    fleet.setNowFunction([] { return uint64_t{1}; });
+    std::vector<FleetVerdict> verdicts;
+    fleet.setVerdictSink(
+        [&](const FleetVerdict &v) { verdicts.push_back(v); });
+
+    // Six shots: a flush of four (capped at maxBatch), then one of two.
+    for (uint32_t i = 0; i < 6; i++) {
+        FleetJob j = jobWith(0, i, 7, {0, 1});
+        ASSERT_EQ(fleet.submit(j), FleetSubmit::Enqueued);
+    }
+    EXPECT_EQ(fleet.pumpShard(0, 2), 4u);
+    EXPECT_EQ(fleet.pumpShard(0, 2), 2u);
+    ASSERT_EQ(verdicts.size(), 6u);
+    const bool want_more[] = {true, true, true, false, true, false};
+    for (size_t i = 0; i < verdicts.size(); i++)
+        EXPECT_EQ(verdicts[i].more, want_more[i]) << "verdict " << i;
+
+    // A one-shot flush is its own last verdict, and a shed verdict is
+    // never held back.
+    FleetJob lone = jobWith(0, 6, 7, {0});
+    ASSERT_EQ(fleet.submit(lone), FleetSubmit::Enqueued);
+    EXPECT_EQ(fleet.pumpShard(0, 2), 1u);
+    ASSERT_EQ(verdicts.size(), 7u);
+    EXPECT_FALSE(verdicts[6].more);
+    for (uint32_t i = 0; i < 9; i++) {
+        FleetJob j = jobWith(0, 100 + i, 7, {0});
+        fleet.submit(j);
+    }
+    ASSERT_EQ(fleet.shedTotal(), 1u);  // The ninth hits a full ring.
+    ASSERT_EQ(verdicts.size(), 8u);
+    EXPECT_TRUE(verdicts[7].shed);
+    EXPECT_FALSE(verdicts[7].more);
+}
+
+TEST(DecodeFleet, WakesParkedWorkerForOneShotAndStopsPromptly)
+{
+    FleetConfig fc;
+    fc.shards = 2;
+    fc.ringCapacity = 64;
+    DecodeFleet fleet(fc, smallContext(), registryFactory("astrea"));
+
+    std::mutex mu;
+    std::condition_variable cv;
+    std::vector<FleetVerdict> verdicts;
+    fleet.setVerdictSink([&](const FleetVerdict &v) {
+        std::lock_guard<std::mutex> lock(mu);
+        verdicts.push_back(v);
+        cv.notify_all();
+    });
+
+    auto all_parked = [&] {
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(5);
+        while (std::chrono::steady_clock::now() < deadline) {
+            bool parked = true;
+            for (unsigned i = 0; i < fc.shards; i++)
+                parked = parked && fleet.workerParked(i);
+            if (parked)
+                return true;
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+        return false;
+    };
+
+    fleet.start();
+    ASSERT_TRUE(all_parked()) << "idle workers never parked";
+
+    // Nothing polls any more: only submit()'s wake can get this shot
+    // decoded.
+    FleetJob j = jobWith(3, 0, 7, {0, 1});
+    ASSERT_EQ(fleet.submit(j), FleetSubmit::Enqueued);
+    {
+        std::unique_lock<std::mutex> lock(mu);
+        ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(5),
+                                [&] { return !verdicts.empty(); }))
+            << "parked worker was not woken";
+        EXPECT_EQ(verdicts[0].streamId, 3u);
+        EXPECT_FALSE(verdicts[0].shed);
+    }
+    EXPECT_EQ(fleet.decodedTotal(), 1u);
+
+    ASSERT_TRUE(all_parked());
+    const auto t0 = std::chrono::steady_clock::now();
+    fleet.stop();
+    EXPECT_LT(std::chrono::steady_clock::now() - t0,
+              std::chrono::seconds(1))
+        << "stop() did not wake the parked workers";
 }
 
 TEST(DecodeFleet, RequiredPriorityRampIsMonotoneAndSaturates)
@@ -460,6 +564,64 @@ TEST(DecodeFleet, ShardMappingIsStableAndCoversAllShards)
 
 // ------------------------------------------------- TCP ingest parity
 
+/** A raw loopback ingest connection with a 5 s receive timeout and
+ *  the server's Hello (14-byte header + 4-byte payload) drained; -1 on
+ *  failure. */
+int
+connectIngest(uint16_t port)
+{
+    int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    if (fd < 0)
+        return -1;
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(port);
+    ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+    timeval tv{};
+    tv.tv_sec = 5;
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+    uint8_t hello[18];
+    size_t have = 0;
+    if (::connect(fd, reinterpret_cast<sockaddr *>(&addr),
+                  sizeof(addr)) == 0) {
+        while (have < sizeof(hello)) {
+            ssize_t n =
+                ::recv(fd, hello + have, sizeof(hello) - have, 0);
+            if (n <= 0)
+                break;
+            have += static_cast<size_t>(n);
+        }
+    }
+    if (have < sizeof(hello)) {
+        ::close(fd);
+        return -1;
+    }
+    return fd;
+}
+
+/** Read Verdict frames off fd until `count` arrived, EOF, or the
+ *  receive timeout. */
+std::vector<net::FleetFrameHeader>
+readVerdictFrames(int fd, size_t count)
+{
+    std::vector<net::FleetFrameHeader> got;
+    net::FleetFrameBuffer fb;
+    uint8_t buf[4096];
+    while (got.size() < count) {
+        ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+        if (n <= 0)
+            break;
+        fb.append(buf, static_cast<size_t>(n));
+        net::FleetFrameHeader h;
+        const uint8_t *payload = nullptr;
+        while (fb.next(h, payload) == net::FleetParse::Ok) {
+            if (h.type == net::FleetFrameType::Verdict)
+                got.push_back(h);
+        }
+    }
+    return got;
+}
+
 TEST(FleetIngest, TcpRoundTripMatchesDirectDecodeBatch)
 {
     ExperimentConfig ec;
@@ -471,7 +633,6 @@ TEST(FleetIngest, TcpRoundTripMatchesDirectDecodeBatch)
     fc.shards = 2;
     fc.ringCapacity = 512;
     fc.maxBatch = 16;
-    fc.maxDelayNs = 50 * 1000;
     DecodeFleet fleet(fc, ctx, registryFactory("astrea"));
     net::FleetServer server(fleet);
     fleet.setVerdictSink(
@@ -540,6 +701,71 @@ TEST(FleetIngest, TcpRoundTripMatchesDirectDecodeBatch)
     EXPECT_EQ(fleet.malformedTotal(), 0u);
 }
 
+TEST(FleetIngest, OneFlushWritesEveryConnectionItTouched)
+{
+    // One shard, never started: the test pumps it once, so a single
+    // flush carries the verdicts of both connections. When pumpShard
+    // returns they must already be on the wire.
+    auto ctx = smallContext();
+    FleetConfig fc;
+    fc.shards = 1;
+    fc.ringCapacity = 64;
+    fc.maxBatch = 64;
+    DecodeFleet fleet(fc, ctx, registryFactory("astrea"));
+    net::FleetServer server(fleet);
+    fleet.setVerdictSink(
+        [&server](const FleetVerdict &v) { server.deliver(v); });
+    std::string error;
+    ASSERT_TRUE(server.start("127.0.0.1", 0, &error)) << error;
+
+    constexpr uint32_t kShots = 12;
+    const int fds[2] = {connectIngest(server.port()),
+                        connectIngest(server.port())};
+    ASSERT_GE(fds[0], 0);
+    ASSERT_GE(fds[1], 0);
+
+    // Interleave the two connections' shots; stream ids 0-2 on the
+    // first connection and 100-102 on the second.
+    BitVec dets(fleet.numDetectorBits());
+    dets.set(0);
+    dets.set(1);
+    std::vector<uint8_t> codec;
+    encodeSyndromeInto(dets, SyndromeCodec::Sparse, codec);
+    for (uint32_t i = 0; i < kShots; i++) {
+        for (int c = 0; c < 2; c++) {
+            std::vector<uint8_t> frame;
+            net::appendFleetSyndrome(frame, 100 * c + i % 3, i, 7,
+                                     codec.data(), codec.size());
+            ASSERT_EQ(::send(fds[c], frame.data(), frame.size(),
+                             MSG_NOSIGNAL),
+                      static_cast<ssize_t>(frame.size()));
+        }
+    }
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (fleet.queueDepth(0) < 2 * kShots &&
+           std::chrono::steady_clock::now() < deadline)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    ASSERT_EQ(fleet.queueDepth(0), 2 * kShots);
+
+    EXPECT_EQ(fleet.pumpShard(0, 1), 2 * kShots);
+    EXPECT_EQ(fleet.batchesTotal(), 1u);
+
+    for (int c = 0; c < 2; c++) {
+        const auto got = readVerdictFrames(fds[c], kShots);
+        ASSERT_EQ(got.size(), kShots) << "connection " << c;
+        std::vector<bool> seen(kShots, false);
+        for (const auto &h : got) {
+            EXPECT_EQ(h.streamId, 100 * c + h.seq % 3);
+            ASSERT_LT(h.seq, kShots);
+            EXPECT_FALSE(seen[h.seq]) << "duplicate seq " << h.seq;
+            seen[h.seq] = true;
+        }
+        ::close(fds[c]);
+    }
+    server.stop();
+}
+
 TEST(FleetIngest, MalformedFrameClosesConnection)
 {
     auto ctx = smallContext();
@@ -552,27 +778,8 @@ TEST(FleetIngest, MalformedFrameClosesConnection)
     std::string error;
     ASSERT_TRUE(server.start("127.0.0.1", 0, &error)) << error;
 
-    int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    int fd = connectIngest(server.port());
     ASSERT_GE(fd, 0);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(server.port());
-    ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
-    ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr *>(&addr),
-                        sizeof(addr)),
-              0);
-    timeval tv{};
-    tv.tv_sec = 5;
-    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-
-    // Drain the Hello frame (14-byte header + 4-byte payload).
-    uint8_t hello[18];
-    size_t have = 0;
-    while (have < sizeof(hello)) {
-        ssize_t n = ::recv(fd, hello + have, sizeof(hello) - have, 0);
-        ASSERT_GT(n, 0);
-        have += static_cast<size_t>(n);
-    }
 
     // Garbage: the server must close, not desynchronize or crash.
     uint8_t junk[32];

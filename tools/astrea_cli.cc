@@ -286,10 +286,6 @@ commandServe(const Options &opts)
     cfg.fleet.maxBatch = static_cast<size_t>(opts.getUint(
         "fleet-max-batch",
         env::getUint("ASTREA_FLEET_MAX_BATCH", 64, 1)));
-    cfg.fleet.maxDelayNs =
-        1000.0 * opts.getDouble(
-                     "fleet-max-delay-us",
-                     env::getDouble("ASTREA_FLEET_MAX_DELAY_US", 200.0));
     cfg.fleet.shedLowWatermark = opts.getDouble(
         "fleet-shed-low", env::getDouble("ASTREA_FLEET_SHED_LOW", 0.5));
     cfg.fleet.shedHighWatermark = opts.getDouble(
@@ -376,13 +372,12 @@ commandServe(const Options &opts)
     }
     if (cfg.fleetEnabled)
         std::printf("serve: fleet ingest on %s:%u (%llu shards, "
-                    "ring %llu, batch %llu, delay %gus)\n",
+                    "ring %llu, batch up to %llu)\n",
                     cfg.fleetBind.c_str(), svc.fleetPort(),
                     static_cast<unsigned long long>(cfg.fleet.shards),
                     static_cast<unsigned long long>(
                         cfg.fleet.ringCapacity),
-                    static_cast<unsigned long long>(cfg.fleet.maxBatch),
-                    cfg.fleet.maxDelayNs / 1000.0);
+                    static_cast<unsigned long long>(cfg.fleet.maxBatch));
     std::fflush(stdout);
 
     std::signal(SIGINT, serveSignalHandler);
@@ -544,8 +539,8 @@ usage(const char *argv0)
         "[--audit-dp-max-hw=N] [--trace=0|1] [--trace-tail-ns=NS] "
         "[--trace-stride=N] [--trace-ring=N] [--fleet=0|1] "
         "[--fleet-shards=N] [--fleet-ring=N] [--fleet-max-batch=N] "
-        "[--fleet-max-delay-us=US] [--fleet-shed-low=F] "
-        "[--fleet-shed-high=F] [--fleet-bind=ADDR] [--fleet-port=N] "
+        "[--fleet-shed-low=F] [--fleet-shed-high=F] "
+        "[--fleet-bind=ADDR] [--fleet-port=N] "
         "[--fleet-port-file=PATH]\n"
         "or:    %s fleet-client [--host=ADDR] --port=N|"
         "--port-file=PATH [--streams=M] [--shots=K] [--max-hw=N] "

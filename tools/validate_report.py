@@ -126,8 +126,11 @@ def validate_trace_store(path, trace):
             fail(path, f"trace_store.{key} must be >= 0")
 
 
-def validate_fleet(path, fleet):
-    """Validate the statusz 'fleet' object (schema version 5)."""
+def validate_fleet(path, fleet, schema):
+    """Validate the statusz 'fleet' object (schema version >= 5).
+
+    Schema 6 dropped 'max_delay_ns' with the fleet's age-based flush.
+    """
     if not isinstance(fleet, dict):
         fail(path, "'fleet' must be an object")
     if "enabled" not in fleet:
@@ -136,11 +139,14 @@ def validate_fleet(path, fleet):
         fail(path, "fleet.enabled must be a bool")
     if not fleet["enabled"]:
         return  # serve without --fleet: just the enabled flag.
-    for key in ("shards", "ring_capacity", "max_batch", "max_delay_ns",
-                "shed_low_watermark", "shed_high_watermark",
-                "max_priority", "connections", "frames",
-                "malformed_frames", "enqueued", "shed", "ring_full",
-                "coalesced_batches", "decoded_shots", "queue_depths"):
+    keys = ["shards", "ring_capacity", "max_batch",
+            "shed_low_watermark", "shed_high_watermark",
+            "max_priority", "connections", "frames",
+            "malformed_frames", "enqueued", "shed", "ring_full",
+            "coalesced_batches", "decoded_shots", "queue_depths"]
+    if schema == 5:
+        keys.append("max_delay_ns")
+    for key in keys:
         if key not in fleet:
             fail(path, f"fleet missing '{key}'")
     for key in ("shards", "ring_capacity", "max_batch", "max_priority",
@@ -171,7 +177,7 @@ def validate_statusz(path, doc, require_audit=False):
     if doc.get("service") != "astrea_serve":
         fail(path, f"unknown service {doc.get('service')!r}")
     schema = doc.get("schema_version")
-    if schema not in (1, 2, 3, 4, 5):
+    if schema not in (1, 2, 3, 4, 5, 6):
         fail(path, f"unknown schema_version {schema!r}")
     if require_audit and schema < 2:
         fail(path, "--require-audit needs schema_version >= 2")
@@ -195,7 +201,7 @@ def validate_statusz(path, doc, require_audit=False):
     if schema >= 5:
         if "fleet" not in doc:
             fail(path, "schema_version 5 requires a 'fleet' object")
-        validate_fleet(path, doc["fleet"])
+        validate_fleet(path, doc["fleet"], schema)
 
     config = doc["config"]
     for key in ("d", "p", "decoder", "workers", "budget_ns",
