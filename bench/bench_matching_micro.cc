@@ -10,17 +10,15 @@
  *    and price every pair through Global Weight Table callbacks,
  *    recomputing the boundary-vs-direct min per probe;
  *  - scalar: LwtTile gather + the portable unrolled table kernel;
- *  - simd: LwtTile gather + the AVX2 kernel (skipped without AVX2);
- *  - avx512: LwtTile gather + the 32-rows-per-iteration AVX-512
- *    kernel (JSON columns are null on hosts without AVX-512, and
+ *  - simd: LwtTile gather + the AVX2 kernel, which the AVX-512 tier
+ *    runs too (JSON columns are null on hosts without AVX2, and
  *    tools/bench_compare.py skips them).
  *
  * Results go to stdout and, with --json-out, into a matching_micro
  * JSON report (per-HW kernel timings plus speedups over legacy) that
  * tools/bench_compare.py gates against bench/baselines/
- * matching_micro.json. ASTREA_FORCE_SCALAR=1 pins the decoders to the
- * scalar kernel; this bench always times both implementations
- * explicitly.
+ * matching_micro.json. The bench times each kernel explicitly,
+ * whatever ASTREA_FORCE_KERNEL pins for the decoders.
  *
  * The original google-benchmark suite (blossom, DP, full decoders,
  * samplers) is kept behind --gbench.
@@ -36,7 +34,6 @@
 #include <memory>
 #include <vector>
 
-#include "astrea/hw6.hh"
 #include "astrea/lwt_tile.hh"
 #include "astrea/matching_tables.hh"
 #include "astrea/simd_kernel.hh"
@@ -47,6 +44,7 @@
 #include "sim/frame_sim.hh"
 #include "matching/blossom.hh"
 #include "matching/dp_matcher.hh"
+#include "matching/enumerator.hh"
 
 using namespace astrea;
 
@@ -161,8 +159,7 @@ struct MicroResult
     uint64_t reps = 0;
     double legacyNs = 0.0;
     double scalarNs = 0.0;
-    double simdNs = 0.0;    // 0 when AVX2 is unavailable.
-    double avx512Ns = 0.0;  // 0 when AVX-512 is unavailable.
+    double simdNs = 0.0;  // 0 when AVX2 is unavailable.
 };
 
 MicroResult
@@ -185,7 +182,7 @@ runKernelMicro(size_t hw, uint64_t reps_override)
     LwtTile tile;
     tile.reserve(r.m);
 
-    // Sanity: all three implementations must award the same weight.
+    // Sanity: every implementation must award the same weight.
     for (const auto &s : syndromes) {
         const uint64_t legacy = legacyEvaluate(gwt, s);
         const uint64_t scalar =
@@ -197,12 +194,6 @@ runKernelMicro(size_t hw, uint64_t reps_override)
                 kernelEvaluate(gwt, s, tile, KernelKind::kAvx2);
             ASTREA_CHECK(simd == scalar,
                          "AVX2 kernel disagrees with scalar kernel");
-        }
-        if (cpuHasAvx512()) {
-            const uint64_t wide =
-                kernelEvaluate(gwt, s, tile, KernelKind::kAvx512);
-            ASTREA_CHECK(wide == scalar,
-                         "AVX-512 kernel disagrees with scalar kernel");
         }
     }
 
@@ -224,14 +215,6 @@ runKernelMicro(size_t hw, uint64_t reps_override)
                                       KernelKind::kAvx2);
             });
     }
-    if (cpuHasAvx512()) {
-        r.avx512Ns = timeNsPerCall(
-            syndromes, r.reps,
-            [&](const std::vector<uint32_t> &s) {
-                return kernelEvaluate(gwt, s, tile,
-                                      KernelKind::kAvx512);
-            });
-    }
     return r;
 }
 
@@ -241,10 +224,9 @@ runKernelSection(const Options &opts, const std::string &json_out)
     benchBanner("matching_micro",
                 "candidate-evaluation kernels vs the legacy "
                 "enumerator hot path");
-    std::printf("d=7, p=1e-3 syndromes; active decoder kernel: %s%s%s\n\n",
+    std::printf("d=7, p=1e-3 syndromes; active decoder kernel: %s%s\n\n",
                 kernelKindName(activeKernelKind()),
-                cpuHasAvx2() ? "" : " (no AVX2 on this CPU)",
-                cpuHasAvx512() ? "" : " (no AVX-512 on this CPU)");
+                cpuHasAvx2() ? "" : " (no AVX2 on this CPU)");
 
     const uint64_t reps_override = opts.getUint("reps", 0);
 
@@ -254,32 +236,26 @@ runKernelSection(const Options &opts, const std::string &json_out)
         report.kv("d", uint64_t{7});
         report.kv("p", 1e-3);
         report.kv("simd_available", cpuHasAvx2());
-        report.kv("avx512_available", cpuHasAvx512());
         report.kv("active_kernel",
                   std::string(kernelKindName(activeKernelKind())));
         report.endObject();  // config
         report.key("results").beginArray();
     }
 
-    std::printf("%-4s %-6s %-8s %-12s %-12s %-12s %-12s %-9s %-9s "
-                "%-9s\n",
-                "m", "rows", "reps", "legacy (ns)", "scalar (ns)",
-                "simd (ns)", "avx512 (ns)", "x scalar", "x simd",
-                "x avx512");
+    std::printf("%-4s %-6s %-8s %-12s %-12s %-12s %-9s %-9s\n", "m",
+                "rows", "reps", "legacy (ns)", "scalar (ns)",
+                "simd (ns)", "x scalar", "x simd");
     for (size_t hw : {4u, 6u, 8u, 10u}) {
         const MicroResult r = runKernelMicro(hw, reps_override);
         const double speedup_scalar =
             r.scalarNs > 0.0 ? r.legacyNs / r.scalarNs : 0.0;
         const double speedup_simd =
             r.simdNs > 0.0 ? r.legacyNs / r.simdNs : 0.0;
-        const double speedup_avx512 =
-            r.avx512Ns > 0.0 ? r.legacyNs / r.avx512Ns : 0.0;
-        std::printf("%-4d %-6u %-8llu %-12.1f %-12.1f %-12.1f %-12.1f "
-                    "%-9.2f %-9.2f %-9.2f\n",
+        std::printf("%-4d %-6u %-8llu %-12.1f %-12.1f %-12.1f %-9.2f "
+                    "%-9.2f\n",
                     r.m, r.rows,
                     static_cast<unsigned long long>(r.reps), r.legacyNs,
-                    r.scalarNs, r.simdNs, r.avx512Ns, speedup_scalar,
-                    speedup_simd, speedup_avx512);
+                    r.scalarNs, r.simdNs, speedup_scalar, speedup_simd);
 
         if (!json_out.empty()) {
             report.beginObject();
@@ -288,20 +264,16 @@ runKernelSection(const Options &opts, const std::string &json_out)
             report.kv("reps", r.reps);
             report.kv("legacy_ns", r.legacyNs);
             report.kv("scalar_ns", r.scalarNs);
-            if (cpuHasAvx2())
-                report.kv("simd_ns", r.simdNs);
             report.kv("speedup_scalar", speedup_scalar);
-            if (cpuHasAvx2())
+            // The AVX2 columns stay present-but-null on hosts without
+            // AVX2 so baseline comparisons can tell "not measured
+            // here" from "regressed to nothing".
+            if (cpuHasAvx2()) {
+                report.kv("simd_ns", r.simdNs);
                 report.kv("speedup_simd", speedup_simd);
-            // Optional kernel columns stay present-but-null on hosts
-            // without AVX-512 so baseline comparisons can tell "not
-            // measured here" from "regressed to nothing".
-            if (cpuHasAvx512()) {
-                report.kv("avx512_ns", r.avx512Ns);
-                report.kv("speedup_avx512", speedup_avx512);
             } else {
-                report.key("avx512_ns").null();
-                report.key("speedup_avx512").null();
+                report.key("simd_ns").null();
+                report.key("speedup_simd").null();
             }
             report.endObject();
         }
@@ -354,24 +326,6 @@ BM_DpMatcher(benchmark::State &state)
     }
 }
 BENCHMARK(BM_DpMatcher)->Arg(8)->Arg(12)->Arg(16);
-
-void
-BM_Hw6Decoder(benchmark::State &state)
-{
-    Hw6Decoder hw6;
-    Rng rng(11);
-    WeightSum w[6][6];
-    for (int i = 0; i < 6; i++)
-        for (int j = 0; j < 6; j++)
-            w[i][j] = static_cast<WeightSum>(rng.uniformInt(200));
-    PairList out;
-    for (auto _ : state) {
-        WeightSum best = hw6.match(
-            6, [&](int i, int j) { return w[i][j]; }, out);
-        benchmark::DoNotOptimize(best);
-    }
-}
-BENCHMARK(BM_Hw6Decoder);
 
 void
 BM_AstreaDecode(benchmark::State &state)

@@ -23,20 +23,10 @@ struct AstreaScratch : DecodeScratch::Ext
     /** Quantized path: the per-decode dense weight/obs gather. */
     LwtTile tile;
 
-    /** Exact path: node ids 0..m-1 (+ virtual boundary for odd HW). */
-    std::vector<int> nodes;
-    /** Exact path: winning matching of the whole search. */
-    PairList best;
-    /** Exact path: HW6 leaf output, remapped by the caller. */
-    PairList local;
-
-    /** One per pre-match recursion depth (HW 10 needs two). */
-    struct Level
-    {
-        std::vector<int> rest;
-        PairList sub;
-    };
-    std::vector<Level> levels;
+    /** Exact path: the m x m fixed-point weight tile; only the i < j
+     *  entries are written, and only those are read. */
+    WeightSum exactTile[MatchingTable::kMaxNodes *
+                        MatchingTable::kMaxNodes];
 
     /** Wide path: the SoA bucket of same-HW tiles. */
     LwtTileBlock block;
@@ -79,7 +69,7 @@ AstreaDecoder::decodeCycles(uint32_t hamming_weight)
     if (hamming_weight <= 2)
         return 0;
     if (hamming_weight <= 6)
-        return 1;   // One HW6Decoder evaluation.
+        return 1;   // One HW6-unit evaluation.
     if (hamming_weight <= 8)
         return 11;  // 7 pre-match cycles plus pipeline fill/drain.
     return 103;     // 9 x 7 pre-match pairs plus pipeline overhead.
@@ -96,75 +86,36 @@ AstreaDecoder::totalCycles(uint32_t hamming_weight)
 namespace
 {
 
-/**
- * Exhaustive search by pre-matching: pair the first remaining node
- * with every other option, recursing until 6 or fewer nodes remain for
- * the HW6Decoder. This is exactly the hardware's schedule for HW 8
- * (7 pre-matchings) and HW 10 (63 pre-matchings). Only the
- * exact-weight ablation runs this; the quantized path evaluates the
- * flattened MatchingTable in one kernel pass instead.
- *
- * All work buffers come from the scratch's per-depth levels, which the
- * caller sized before entry (resizing mid-recursion would invalidate
- * the level references live in outer frames).
- */
-template <class WeightFn>
-WeightSum
-searchPrematch(const Hw6Decoder &hw6, std::span<const int> nodes,
-               const WeightFn &weight, PairList &best_out,
-               uint64_t &hw6_invocations, AstreaScratch &s,
-               size_t depth)
-{
-    const int m = static_cast<int>(nodes.size());
-    if (m <= 6) {
-        hw6_invocations++;
-        WeightSum w = hw6.match(
-            m,
-            [&](int i, int j) { return weight(nodes[i], nodes[j]); },
-            s.local);
-        best_out.clear();
-        for (auto [i, j] : s.local)
-            best_out.push_back({nodes[i], nodes[j]});
-        return w;
-    }
-
-    AstreaScratch::Level &lvl = s.levels[depth];
-    lvl.rest.assign(nodes.begin() + 1, nodes.end());
-
-    WeightSum best = kInfiniteWeightSum;
-    best_out.clear();
-    for (int k = 0; k < m - 1; k++) {
-        int partner = lvl.rest[k];
-        std::swap(lvl.rest[k], lvl.rest.back());
-        lvl.rest.pop_back();
-
-        WeightSum sub_w = searchPrematch(
-            hw6, std::span<const int>(lvl.rest), weight, lvl.sub,
-            hw6_invocations, s, depth + 1);
-        WeightSum total =
-            addWeights(weight(nodes[0], partner), sub_w);
-        if (total < best) {
-            best = total;
-            // Swap, don't copy: lvl.sub is rebuilt from scratch on the
-            // next iteration anyway, and the two buffers' capacities
-            // stabilize after the first few decodes.
-            std::swap(best_out, lvl.sub);
-            best_out.push_back({nodes[0], partner});
-        }
-
-        lvl.rest.push_back(partner);
-        std::swap(lvl.rest[k], lvl.rest.back());
-    }
-    return best;
-}
-
-/** Modeled hardware HW6-unit invocations for an m-node search. */
+/** Modeled hardware HW6-unit invocations for an m-node search: one
+ *  for m <= 6, 7 pre-matchings for m = 8, 9 x 7 for m = 10. */
 uint64_t
 modeledHw6Invocations(int m)
 {
     if (m <= 6)
         return 1;
     return m == 8 ? 7 : 63;
+}
+
+/**
+ * Report table row `row` as the decode's matching: XOR each pair's
+ * observable mask (obs(i, j)) into out.obsMask and list the pairs,
+ * with the virtual boundary node mapped to -1.
+ */
+template <class ObsFn>
+void
+emitMatching(const MatchingTable &table, uint32_t row, int virt,
+             const ObsFn &obs, DecodeResult &out)
+{
+    out.matchedPairs.reserve(static_cast<size_t>(table.pairsPerRow()));
+    for (int k = 0; k < table.pairsPerRow(); k++) {
+        auto [i, j] = table.pairAt(row, k);
+        out.obsMask ^= obs(i, j);
+        int32_t a = (i == virt) ? -1 : static_cast<int32_t>(i);
+        int32_t b = (j == virt) ? -1 : static_cast<int32_t>(j);
+        if (a < 0)
+            std::swap(a, b);
+        out.matchedPairs.push_back({a, b});
+    }
 }
 
 } // namespace
@@ -182,38 +133,22 @@ AstreaDecoder::decodeKernel(std::span<const uint32_t> defects,
                                    psample);
         s.tile.build(gwt_, defects, config_.useEffectiveWeights);
     }
-    const int m = s.tile.nodes();
-    const int virt = s.tile.virtualNode();
 
     const MatchingTable *table = nullptr;
     KernelMatch km;
     {
         telemetry::PerfSection sec(telemetry::PerfStage::Matching, 1,
                                    psample);
-        table = &MatchingTable::forNodes(m);
+        table = &MatchingTable::forNodes(s.tile.nodes());
         km = matchTile16(*table, s.tile.weights(), kernel_);
     }
     ASTREA_CHECK(km.weight < kInfiniteTileWeight,
                  "Astrea found no finite matching");
 
-    const uint64_t invocations = modeledHw6Invocations(m);
-    stats_.hw6Invocations += invocations;
-    ASTREA_COUNTER_ADD("astrea.hw6_invocations", invocations);
-
     telemetry::PerfSection vsec(telemetry::PerfStage::Verdict, 1,
                                 psample);
-    out.matchedPairs.reserve(
-        static_cast<size_t>(table->pairsPerRow()));
-    for (int k = 0; k < table->pairsPerRow(); k++) {
-        auto [i, j] = table->pairAt(km.row, k);
-        out.obsMask ^= s.tile.obsAt(i, j);
-        // Report the pairing; the virtual boundary node maps to -1.
-        int32_t a = (i == virt) ? -1 : static_cast<int32_t>(i);
-        int32_t b = (j == virt) ? -1 : static_cast<int32_t>(j);
-        if (a < 0)
-            std::swap(a, b);
-        out.matchedPairs.push_back({a, b});
-    }
+    emitMatching(*table, km.row, s.tile.virtualNode(),
+                 [&](int i, int j) { return s.tile.obsAt(i, j); }, out);
     out.matchingWeight = static_cast<double>(km.weight) / kWeightScale;
 }
 
@@ -228,9 +163,12 @@ AstreaDecoder::decodeExact(std::span<const uint32_t> defects,
     const int m = (w % 2 == 0) ? static_cast<int>(w)
                                : static_cast<int>(w) + 1;
     const int virt = static_cast<int>(w);
+    const MatchingTable &table = MatchingTable::forNodes(m);
 
-    // Exact-weight mode works in 2^-16-decade fixed point so the
-    // integer search machinery is reused unchanged.
+    // Exact-weight mode works in 2^-16-decade fixed point, which
+    // exceeds the 16-bit tile domain of matchTile16: the tile holds
+    // full WeightSums and the pass runs matchTile32 (addWeights
+    // semantics) over the same MatchingTable.
     constexpr double kExactScale = 65536.0;
 
     auto raw_weight = [&](uint32_t a, uint32_t b) -> WeightSum {
@@ -239,66 +177,46 @@ AstreaDecoder::decodeExact(std::span<const uint32_t> defects,
             return kInfiniteWeightSum;
         return static_cast<WeightSum>(decades * kExactScale);
     };
-
-    auto weight = [&](int i, int j) -> WeightSum {
-        if (i == virt || j == virt) {
-            uint32_t d = defects[i == virt ? j : i];
-            return raw_weight(d, d);
-        }
-        uint32_t a = defects[i], b = defects[j];
-        WeightSum direct = raw_weight(a, b);
-        if (!config_.useEffectiveWeights)
-            return direct;
-        WeightSum via =
-            addWeights(raw_weight(a, a), raw_weight(b, b));
-        return direct < via ? direct : via;
-    };
-    auto obs = [&](int i, int j) -> uint64_t {
-        if (i == virt || j == virt) {
-            uint32_t d = defects[i == virt ? j : i];
-            return gwt_.pairObs(d, d);
-        }
-        uint32_t a = defects[i], b = defects[j];
-        if (!config_.useEffectiveWeights)
-            return gwt_.pairObs(a, b);
-        WeightSum direct = raw_weight(a, b);
-        WeightSum via =
-            addWeights(raw_weight(a, a), raw_weight(b, b));
-        if (direct <= via)
-            return gwt_.pairObs(a, b);
-        return gwt_.pairObs(a, a) ^ gwt_.pairObs(b, b);
+    // Is the pair of defects a, b cheaper through the boundary than
+    // through its direct chain (only with effective weights)?
+    auto via_boundary = [&](uint32_t a, uint32_t b) {
+        return config_.useEffectiveWeights &&
+               addWeights(raw_weight(a, a), raw_weight(b, b)) <
+                   raw_weight(a, b);
     };
 
-    s.nodes.resize(static_cast<size_t>(m));
-    for (int i = 0; i < m; i++)
-        s.nodes[i] = i;
-    // Pre-size the recursion levels up front: one per pre-matched pair
-    // beyond the HW6 leaf (HW 10 -> 2).
-    const size_t depth_needed =
-        m > 6 ? (static_cast<size_t>(m) - 6 + 1) / 2 : 0;
-    if (s.levels.size() < depth_needed)
-        s.levels.resize(depth_needed);
-
-    uint64_t hw6_invocations = 0;
-    WeightSum total =
-        searchPrematch(hw6_, std::span<const int>(s.nodes), weight,
-                       s.best, hw6_invocations, s, 0);
-    ASTREA_CHECK(total != kInfiniteWeightSum,
-                 "Astrea found no finite matching");
-    stats_.hw6Invocations += hw6_invocations;
-    ASTREA_COUNTER_ADD("astrea.hw6_invocations", hw6_invocations);
-
-    out.matchedPairs.reserve(s.best.size());
-    for (auto [i, j] : s.best) {
-        out.obsMask ^= obs(i, j);
-        // Report the pairing; the virtual boundary node maps to -1.
-        int32_t a = (i == virt) ? -1 : static_cast<int32_t>(i);
-        int32_t b = (j == virt) ? -1 : static_cast<int32_t>(j);
-        if (a < 0)
-            std::swap(a, b);
-        out.matchedPairs.push_back({a, b});
+    // Only i < j is filled; the virtual node (the last index, so
+    // never i) pairs with defect i at its boundary weight.
+    for (int i = 0; i < static_cast<int>(w); i++) {
+        const uint32_t a = defects[i];
+        for (int j = i + 1; j < m; j++) {
+            WeightSum &e = s.exactTile[i * m + j];
+            if (j == virt) {
+                e = raw_weight(a, a);
+                continue;
+            }
+            const uint32_t b = defects[j];
+            e = via_boundary(a, b)
+                    ? addWeights(raw_weight(a, a), raw_weight(b, b))
+                    : raw_weight(a, b);
+        }
     }
-    out.matchingWeight = static_cast<double>(total) / kExactScale;
+    const KernelMatch km = matchTile32(table, s.exactTile);
+    ASTREA_CHECK(km.weight != kInfiniteWeightSum,
+                 "Astrea found no finite matching");
+
+    emitMatching(table, km.row, virt,
+                 [&](int i, int j) -> uint64_t {
+                     const uint32_t a = defects[i];
+                     if (j == virt)
+                         return gwt_.pairObs(a, a);
+                     const uint32_t b = defects[j];
+                     if (via_boundary(a, b))
+                         return gwt_.pairObs(a, a) ^ gwt_.pairObs(b, b);
+                     return gwt_.pairObs(a, b);
+                 },
+                 out);
+    out.matchingWeight = static_cast<double>(km.weight) / kExactScale;
 }
 
 void
@@ -330,6 +248,10 @@ AstreaDecoder::decodeInto(std::span<const uint32_t> defects,
     else
         decodeExact(defects, out, s);
 
+    const uint64_t invocations =
+        modeledHw6Invocations(static_cast<int>(w + w % 2));
+    stats_.hw6Invocations += invocations;
+    ASTREA_COUNTER_ADD("astrea.hw6_invocations", invocations);
     if (w > 2) {
         // HW <= 2 bypasses the engine, so no GWT transfer is modeled.
         stats_.weightTransferCycles += w + 1;
@@ -350,8 +272,8 @@ AstreaDecoder::decodeBatch(const SyndromeBatch &batch,
     AstreaScratch &s = scratch.ext<AstreaScratch>();
     s.tile.reserve(static_cast<int>(config_.maxHammingWeight) + 1);
     if (!config_.quantizedWeights) {
-        // The exact-weight ablation exceeds the kernels' 16-bit tile
-        // domain; it keeps the per-shot recursive search.
+        // The exact-weight ablation exceeds the lane-major kernels'
+        // 16-bit tile domain; it decodes shot by shot (matchTile32).
         Decoder::decodeBatch(batch, results, scratch);
         return;
     }
@@ -528,21 +450,12 @@ AstreaDecoder::decodeBucket(const SyndromeBatch &batch,
                              "Astrea found no finite matching");
                 DecodeResult &out = results[shot];
                 out.reset();
-                out.matchedPairs.reserve(
-                    static_cast<size_t>(table.pairsPerRow()));
-                for (int k = 0; k < table.pairsPerRow(); k++) {
-                    auto [i, j] = table.pairAt(km.row, k);
-                    out.obsMask ^=
-                        s.block.laneObs(static_cast<int>(l), i, j);
-                    // The virtual boundary node maps to -1.
-                    int32_t a =
-                        (i == virt) ? -1 : static_cast<int32_t>(i);
-                    int32_t b =
-                        (j == virt) ? -1 : static_cast<int32_t>(j);
-                    if (a < 0)
-                        std::swap(a, b);
-                    out.matchedPairs.push_back({a, b});
-                }
+                emitMatching(table, km.row, virt,
+                             [&](int i, int j) {
+                                 return s.block.laneObs(
+                                     static_cast<int>(l), i, j);
+                             },
+                             out);
                 out.matchingWeight =
                     static_cast<double>(km.weight) / kWeightScale;
                 out.cycles = totalCycles(w);

@@ -7,7 +7,7 @@
  * and exhaustively evaluates every perfect matching of the defects:
  *
  *  - HW 0-2: trivial (no search; 0 cycles);
- *  - HW 3-6: one HW6Decoder evaluation (1 cycle);
+ *  - HW 3-6: one HW6-unit evaluation (1 cycle);
  *  - HW 7-8: pre-match one pair 7 ways, HW6 on the rest (11 cycles);
  *  - HW 9-10: pre-match two pairs, 9 x 7 = 63 ways (103 cycles);
  *  - HW > 10: not decoded (gaveUp; the paper shows such syndromes are
@@ -20,20 +20,19 @@
  * to true MWPM (see DESIGN.md). Weight transfer from the GWT costs
  * HW + 1 cycles; total worst case is 114 cycles = 456 ns at 250 MHz.
  *
- * In the default quantized mode the software hot path mirrors the
- * hardware structure directly: one LwtTile gather of the defect
- * submatrix, then a flat kernel pass (simd_kernel.hh) over the
- * precomputed MatchingTable of all (m-1)!! candidates — no recursion,
- * no per-pair callbacks. The exact-weight ablation works in
- * 2^-16-decade fixed point, which exceeds the kernels' 16-bit tile
- * domain, so it keeps the recursive pre-match search. Cycle modeling
- * is identical on both paths.
+ * The pre-match schedule above is the cycle model. The software
+ * evaluates the whole precomputed MatchingTable of all (m-1)!!
+ * candidates in one flat kernel pass (simd_kernel.hh) — no recursion,
+ * no per-pair callbacks — in both weight domains: the default
+ * quantized mode gathers an LwtTile and runs matchTile16, and the
+ * exact-weight ablation fills a 2^-16-decade fixed-point WeightSum
+ * tile and runs matchTile32. Cycle modeling is identical on both
+ * paths.
  */
 
 #ifndef ASTREA_ASTREA_ASTREA_DECODER_HH
 #define ASTREA_ASTREA_ASTREA_DECODER_HH
 
-#include "astrea/hw6.hh"
 #include "astrea/simd_kernel.hh"
 #include "decoders/decoder.hh"
 #include "graph/weight_table.hh"
@@ -80,9 +79,8 @@ struct AstreaStats
     uint64_t decodes = 0;
     /** Syndromes with HW <= 2 (no search needed). */
     uint64_t trivialDecodes = 0;
-    /** HW6Decoder evaluations across all pre-match leaves. On the
-     *  kernel path this counts the modeled hardware invocations
-     *  (1 for HW <= 6, 7 for HW 7-8, 63 for HW 9-10). */
+    /** Modeled hardware HW6-unit invocations (1 for HW <= 6, 7 for
+     *  HW 7-8, 63 for HW 9-10), on both weight domains. */
     uint64_t hw6Invocations = 0;
     /** Modeled GWT weight-transfer cycles (HW + 1 per decode). */
     uint64_t weightTransferCycles = 0;
@@ -105,7 +103,7 @@ class AstreaDecoder : public Decoder
      * gathered into a structure-of-arrays LwtTileBlock and matched
      * back-to-back, bit-identical to per-shot decodeInto(). The
      * exact-weight ablation (quantizedWeights == false) exceeds the
-     * kernels' tile domain and keeps the per-shot loop.
+     * lane-major kernels' tile domain and keeps the per-shot loop.
      */
     void decodeBatch(const SyndromeBatch &batch,
                      std::vector<DecodeResult> &results,
@@ -147,7 +145,8 @@ class AstreaDecoder : public Decoder
     void decodeKernel(std::span<const uint32_t> defects,
                       DecodeResult &out, detail::AstreaScratch &s);
 
-    /** Exact-weight ablation: recursive pre-match search. */
+    /** Exact-weight ablation: fixed-point WeightSum tile + one
+     *  matchTile32 pass over the same MatchingTable. */
     void decodeExact(std::span<const uint32_t> defects,
                      DecodeResult &out, detail::AstreaScratch &s);
 
@@ -161,7 +160,6 @@ class AstreaDecoder : public Decoder
 
     const GlobalWeightTable &gwt_;
     AstreaConfig config_;
-    Hw6Decoder hw6_;
     AstreaStats stats_;
     KernelKind kernel_ = activeKernelKind();
 };

@@ -3,10 +3,11 @@
  * Precomputed flattened perfect-matching tables (paper Sec. 5.2.3).
  *
  * The HW6 unit hardwires its 15 six-node matchings into an adder
- * network; the software analogue is a once-built flat table of every
- * perfect matching of m nodes for each even m <= 10 (1 / 3 / 15 / 105 /
- * 945 rows of m/2 index pairs), generated from the canonical enumerator
- * and shared by every decoder instance in the process.
+ * network (paper Fig. 7a); the software analogue is a once-built flat
+ * table of every perfect matching of m nodes for each even m <= 10
+ * (1 / 3 / 15 / 105 / 945 rows of m/2 index pairs), generated from the
+ * canonical enumerator and shared by every decoder instance in the
+ * process.
  *
  * Two layouts are kept side by side:
  *
@@ -18,12 +19,11 @@
  *    index arithmetic at all — each slot is one gather stream, which is
  *    what the AVX2 kernel in simd_kernel.cc consumes directly.
  *
- * Offset arrays are padded to a multiple of 32 rows — the widest
- * kernel stride (AVX-512 evaluates 32 candidate rows per iteration;
- * AVX2 reads 16-row blocks into the same padded tail). Padding entries
- * point at tile offset 0 (the (0,0) diagonal), which every kernel tile
- * is required to hold an infinite weight at, so padded lanes can never
- * win the min-reduction.
+ * Offset arrays are padded to a multiple of 16 rows — the AVX2
+ * kernel's stride (it evaluates 16 candidate rows per iteration).
+ * Padding entries point at tile offset 0 (the (0,0) diagonal), which
+ * every matchTile16 tile is required to hold an infinite weight at, so
+ * padded lanes can never win the min-reduction.
  */
 
 #ifndef ASTREA_ASTREA_MATCHING_TABLES_HH
@@ -44,9 +44,9 @@ class MatchingTable
     /** Largest node count with a prebuilt table (945 rows). */
     static constexpr int kMaxNodes = 10;
 
-    /** Rows are padded to this multiple for the SIMD kernels (the
-     *  widest, AVX-512, consumes 32 offsets per iteration). */
-    static constexpr uint32_t kRowPadding = 32;
+    /** Rows are padded to this multiple for the AVX2 kernel, which
+     *  consumes 16 offsets per iteration. */
+    static constexpr uint32_t kRowPadding = 16;
 
     /**
      * The process-wide table for m nodes (m even, 2 <= m <= 10).

@@ -42,8 +42,7 @@ cpuHasAvx512()
 #if ASTREA_KERNEL_X86
     if (g_cpu_cap.load(std::memory_order_relaxed) < 3)
         return false;
-    return __builtin_cpu_supports("avx512f") != 0 &&
-           __builtin_cpu_supports("avx512bw") != 0;
+    return __builtin_cpu_supports("avx512f") != 0;
 #else
     return false;
 #endif
@@ -77,10 +76,9 @@ resolveKind()
 {
     const int best = bestSupportedKind();
 
-    // ASTREA_FORCE_KERNEL pins a tier by name and takes priority over
-    // the legacy boolean knob. An unsupported tier warns and falls
-    // back to the best the CPU offers; an unknown name warns and
-    // leaves the automatic choice in place.
+    // ASTREA_FORCE_KERNEL pins a tier by name. An unsupported tier
+    // warns and falls back to the best the CPU offers; an unknown name
+    // warns and leaves the automatic choice in place.
     const std::string force =
         env::getString("ASTREA_FORCE_KERNEL", "");
     if (!force.empty()) {
@@ -107,8 +105,6 @@ resolveKind()
         }
     }
 
-    if (env::getBool("ASTREA_FORCE_SCALAR", false))
-        return 1;
     return best;
 }
 
@@ -203,16 +199,16 @@ scalarEval16Dispatch(const MatchingTable &table, const int32_t *tile)
  * gather stream (two 8-lane 32-bit gathers) packed down to unsigned
  * 16-bit with saturation, accumulated with 16-bit saturating adds, and
  * reduced with a vectorized running min + first-argmin. The loop
- * rounds the real row count up to 16 itself (offset arrays are padded
- * to kRowPadding = 32 for the AVX-512 kernel, but reading the full
- * padded tail here would waste an iteration on the small tables);
- * padded rows resolve to tile[0], which the tile contract keeps
- * infinite.
+ * walks the offset arrays' padded length (kRowPadding = 16); padded
+ * rows resolve to tile[0], which the tile contract keeps infinite.
+ * matchTile16 runs this kernel on the AVX-512 tier too: a 32-row
+ * AVX-512 variant measured slower at m = 4-8 and only ~8% faster at
+ * m = 10, too rare a size to show in per-shot decode throughput.
  */
 __attribute__((target("avx2"))) KernelMatch
 avx2Eval16(const MatchingTable &table, const int32_t *tile)
 {
-    const uint32_t rows16 = (table.rows() + 15u) & ~15u;
+    const uint32_t rows16 = table.rowsPadded();
     const int pairs_per_row = table.pairsPerRow();
 
     const __m256i sign = _mm256_set1_epi16(
@@ -264,80 +260,6 @@ avx2Eval16(const MatchingTable &table, const int32_t *tile)
     KernelMatch best;
     bool found = false;
     for (int l = 0; l < 16; l++) {
-        const uint32_t v = mins[l];
-        if (v >= kInfiniteTileWeight)
-            continue;
-        if (!found || v < best.weight ||
-            (v == best.weight && idxs[l] < best.row)) {
-            best.weight = v;
-            best.row = idxs[l];
-            found = true;
-        }
-    }
-    return best;
-}
-
-/**
- * AVX-512 path: 32 candidate rows per iteration — the full padded
- * stride, so the HW-10 table's 945 rows take 30 iterations instead of
- * the AVX2 path's 60. The structure mirrors avx2Eval16 lane-for-lane:
- * two 16-lane 32-bit gathers per pair slot packed down to unsigned
- * 16-bit (packus interleaves 128-bit sublanes; the qword permute
- * restores row order), saturating 16-bit accumulation, and a running
- * min + first-argmin kept strict through mask compares. Row indices
- * stay in 16 bits (945 padded to 960 < 65536).
- */
-__attribute__((target("avx512f,avx512bw"))) KernelMatch
-avx512Eval16(const MatchingTable &table, const int32_t *tile)
-{
-    const uint32_t rows_padded = table.rowsPadded();
-    const int pairs_per_row = table.pairsPerRow();
-
-    const __m512i step = _mm512_set1_epi16(32);
-    // packus(lo, hi) emits, per 128-bit sublane k, lo's dwords k*4..
-    // k*4+3 then hi's; this qword shuffle restores 0..31 row order.
-    const __m512i unshuffle =
-        _mm512_setr_epi64(0, 2, 4, 6, 1, 3, 5, 7);
-    __m512i vmin = _mm512_set1_epi16(-1);  // 0xFFFF in every lane.
-    __m512i vmin_idx = _mm512_setzero_si512();
-    __m512i vidx = _mm512_setr_epi32(
-        0x00010000, 0x00030002, 0x00050004, 0x00070006, 0x00090008,
-        0x000B000A, 0x000D000C, 0x000F000E, 0x00110010, 0x00130012,
-        0x00150014, 0x00170016, 0x00190018, 0x001B001A, 0x001D001C,
-        0x001F001E);  // uint16 lanes 0..31.
-
-    for (uint32_t r = 0; r < rows_padded; r += 32) {
-        __m512i sums = _mm512_setzero_si512();
-        for (int p = 0; p < pairs_per_row; p++) {
-            const int32_t *off = table.slotOffsets(p) + r;
-            __m512i idx_lo = _mm512_loadu_si512(off);
-            __m512i idx_hi = _mm512_loadu_si512(off + 16);
-            __m512i g_lo = _mm512_i32gather_epi32(idx_lo, tile, 4);
-            __m512i g_hi = _mm512_i32gather_epi32(idx_hi, tile, 4);
-            __m512i packed = _mm512_permutexvar_epi64(
-                unshuffle, _mm512_packus_epi32(g_lo, g_hi));
-            sums = (p == 0) ? packed
-                            : _mm512_adds_epu16(sums, packed);
-        }
-        // Strict less-than keeps the FIRST row attaining each lane
-        // minimum, matching the scalar kernel's tie-breaking.
-        const __mmask32 lt =
-            _mm512_cmplt_epu16_mask(sums, vmin);
-        vmin = _mm512_min_epu16(vmin, sums);
-        vmin_idx = _mm512_mask_blend_epi16(lt, vmin_idx, vidx);
-        vidx = _mm512_add_epi16(vidx, step);
-    }
-
-    // Horizontal reduction: lane l holds the first row ≡ l (mod 32)
-    // attaining its lane minimum.
-    alignas(64) uint16_t mins[32];
-    alignas(64) uint16_t idxs[32];
-    _mm512_store_si512(mins, vmin);
-    _mm512_store_si512(idxs, vmin_idx);
-
-    KernelMatch best;
-    bool found = false;
-    for (int l = 0; l < 32; l++) {
         const uint32_t v = mins[l];
         if (v >= kInfiniteTileWeight)
             continue;
@@ -530,9 +452,7 @@ matchTile16(const MatchingTable &table, const int32_t *tile,
             KernelKind kind)
 {
 #if ASTREA_KERNEL_X86
-    if (kind == KernelKind::kAvx512)
-        return avx512Eval16(table, tile);
-    if (kind == KernelKind::kAvx2)
+    if (kind != KernelKind::kScalar)
         return avx2Eval16(table, tile);
 #else
     (void)kind;
@@ -596,93 +516,11 @@ scalarEval32(const MatchingTable &table, const WeightSum *tile)
     return best;
 }
 
-#if ASTREA_KERNEL_X86
-
-/**
- * AVX-512 full-width evaluation: 16 candidate rows per iteration over
- * a WeightSum tile with addWeights() semantics (kInfiniteWeightSum
- * poisons any sum crossing it; finite adds are plain wrapping uint32,
- * exactly as the scalar helper computes them). Gathers are masked to
- * the real row count so callers that only initialize i < j entries
- * (the HW6 unit model's stack tile) never have garbage read.
- */
-__attribute__((target("avx512f"))) KernelMatch
-avx512Eval32(const MatchingTable &table, const WeightSum *tile)
-{
-    const uint32_t rows = table.rows();
-    const int pairs_per_row = table.pairsPerRow();
-
-    const __m512i vinf = _mm512_set1_epi32(
-        static_cast<int>(kInfiniteWeightSum));
-    const __m512i step = _mm512_set1_epi32(16);
-    __m512i vmin = vinf;
-    __m512i vmin_idx = _mm512_setzero_si512();
-    __m512i vidx = _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10,
-                                     11, 12, 13, 14, 15);
-
-    for (uint32_t r = 0; r < rows; r += 16) {
-        const __mmask16 live =
-            rows - r >= 16
-                ? static_cast<__mmask16>(0xFFFF)
-                : static_cast<__mmask16>((1u << (rows - r)) - 1u);
-        __m512i sums = vinf;
-        __mmask16 poisoned = 0;
-        for (int p = 0; p < pairs_per_row; p++) {
-            const int32_t *off = table.slotOffsets(p) + r;
-            const __m512i idx = _mm512_loadu_si512(off);
-            const __m512i g = _mm512_mask_i32gather_epi32(
-                vinf, live, idx,
-                reinterpret_cast<const int *>(tile), 4);
-            poisoned = static_cast<__mmask16>(
-                poisoned | _mm512_cmpeq_epi32_mask(g, vinf));
-            sums = (p == 0) ? g : _mm512_add_epi32(sums, g);
-        }
-        // addWeights(): any infinite addend makes the sum infinite.
-        sums = _mm512_mask_mov_epi32(
-            sums, static_cast<__mmask16>(poisoned | ~live), vinf);
-        // Strict unsigned less-than keeps the FIRST row per lane.
-        const __mmask16 lt = _mm512_cmplt_epu32_mask(sums, vmin);
-        vmin = _mm512_min_epu32(vmin, sums);
-        vmin_idx = _mm512_mask_blend_epi32(lt, vmin_idx, vidx);
-        vidx = _mm512_add_epi32(vidx, step);
-    }
-
-    alignas(64) uint32_t mins[16];
-    alignas(64) uint32_t idxs[16];
-    _mm512_store_si512(mins, vmin);
-    _mm512_store_si512(idxs, vmin_idx);
-
-    KernelMatch best;
-    best.weight = kInfiniteWeightSum;
-    bool found = false;
-    for (int l = 0; l < 16; l++) {
-        const uint32_t v = mins[l];
-        if (v == kInfiniteWeightSum)
-            continue;
-        if (!found || v < best.weight ||
-            (v == best.weight && idxs[l] < best.row)) {
-            best.weight = v;
-            best.row = idxs[l];
-            found = true;
-        }
-    }
-    return best;
-}
-
-#endif // ASTREA_KERNEL_X86
-
 } // namespace
 
 KernelMatch
-matchTile32(const MatchingTable &table, const WeightSum *tile,
-            KernelKind kind)
+matchTile32(const MatchingTable &table, const WeightSum *tile)
 {
-#if ASTREA_KERNEL_X86
-    if (kind == KernelKind::kAvx512)
-        return avx512Eval32(table, tile);
-#else
-    (void)kind;
-#endif
     switch (table.pairsPerRow()) {
       case 1:
         return scalarEval32<1>(table, tile);

@@ -19,16 +19,16 @@
  * (finite quantized sums can never reach the ceiling: 5 pairs x 510
  * max effective weight < 0xFFFF).
  *
- * Three implementations exist: an AVX-512 path (32 candidate rows per
- * iteration), an AVX2 path (16 rows per iteration; 32-bit gathers
- * packed down with unsigned saturation, 16-bit saturating adds,
- * vectorized min+argmin with first-minimum tie-breaking) and a
- * portable unrolled scalar fallback. All produce bit-identical
- * results — weight AND winning row — which the kernel parity suite
- * enforces. Selection is by cpuid at first use;
- * ASTREA_FORCE_KERNEL={scalar,avx2,avx512} pins any tier (falling
- * back with a warning when the CPU lacks it), and the legacy
- * ASTREA_FORCE_SCALAR=1 still pins the scalar path.
+ * Per tile there are two implementations: an AVX2 path (16 rows per
+ * iteration; 32-bit gathers packed down with unsigned saturation,
+ * 16-bit saturating adds, vectorized min+argmin with first-minimum
+ * tie-breaking), which the AVX2 and AVX-512 tiers both run, and a
+ * portable unrolled scalar fallback. The AVX-512 tier differs only in
+ * its lane-major bucket kernel (matchTileLanesT, 16 lanes per load).
+ * All produce bit-identical results — weight AND winning row — which
+ * the kernel parity suite enforces. Selection is by cpuid at first
+ * use; ASTREA_FORCE_KERNEL={scalar,avx2,avx512} pins any tier
+ * (falling back with a warning when the CPU lacks it).
  */
 
 #ifndef ASTREA_ASTREA_SIMD_KERNEL_HH
@@ -72,16 +72,15 @@ struct KernelMatch
 /** True when the CPU supports the AVX2 kernel. */
 bool cpuHasAvx2();
 
-/** True when the CPU supports the AVX-512 kernel (F + BW). */
+/** True when the CPU supports the AVX-512 kernel (AVX-512F). */
 bool cpuHasAvx512();
 
 /**
  * The kernel the decoders run: the widest tier the CPU supports,
  * unless ASTREA_FORCE_KERNEL={scalar,avx2,avx512} pins one (an
  * unsupported or unknown value warns once and falls back to the best
- * supported tier) or the legacy ASTREA_FORCE_SCALAR=1 pins the scalar
- * path. Resolved once per process (resetKernelDispatchForTest()
- * re-reads the environment).
+ * supported tier). Resolved once per process
+ * (resetKernelDispatchForTest() re-reads the environment).
  */
 KernelKind activeKernelKind();
 
@@ -102,7 +101,8 @@ void setCpuKernelCapForTest(KernelKind max_kind);
 
 /**
  * Evaluate all candidate matchings over a 16-bit-domain tile (see the
- * tile contract above) with the requested kernel.
+ * tile contract above) with the requested kernel. kAvx2 and kAvx512
+ * both run the AVX2 kernel.
  */
 KernelMatch matchTile16(const MatchingTable &table, const int32_t *tile,
                         KernelKind kind);
@@ -159,16 +159,13 @@ void matchTileLanesT(const MatchingTable &table,
 
 /**
  * Evaluation over a full-width WeightSum tile with addWeights()
- * semantics (kInfiniteWeightSum propagates). Serves the paths whose
- * weights exceed the 16-bit tile domain (the exact-weight ablation and
- * the HW6 unit model). Only entries i*m + j with i < j are read on
- * every path: the AVX-512 variant masks its gathers to the real row
- * count, so padded table rows never touch the tile. kScalar and kAvx2
- * both select the portable loop — there is no AVX2 variant of this
- * kernel.
+ * semantics (kInfiniteWeightSum propagates), for weights that exceed
+ * the 16-bit tile domain (the exact-weight ablation). A portable loop
+ * over the real rows only, so just the entries i*m + j with i < j are
+ * read; the rest of the tile may hold anything.
  */
-KernelMatch matchTile32(const MatchingTable &table, const WeightSum *tile,
-                        KernelKind kind = KernelKind::kScalar);
+KernelMatch matchTile32(const MatchingTable &table,
+                        const WeightSum *tile);
 
 } // namespace astrea
 

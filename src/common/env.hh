@@ -15,10 +15,10 @@
  *     (case-insensitive) as false and anything else as true.
  *
  * The ASTREA_SERVE_* service knobs, ASTREA_THREADS, ASTREA_TELEMETRY,
- * the forensics paths and the kernel-dispatch overrides
+ * the forensics paths and the kernel-dispatch override
  * (ASTREA_FORCE_KERNEL={scalar,avx2,avx512}, pinning one matching-
- * kernel tier with warn-once fallback when the CPU lacks it, and the
- * legacy ASTREA_FORCE_SCALAR boolean) all read through here.
+ * kernel tier with warn-once fallback when the CPU lacks it) all read
+ * through here.
  */
 
 #ifndef ASTREA_COMMON_ENV_HH

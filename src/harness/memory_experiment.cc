@@ -4,6 +4,7 @@
 #include <mutex>
 
 #include "audit/auditor.hh"
+#include "common/logging.hh"
 #include "common/thread_pool.hh"
 #include "dem/extractor.hh"
 #include "telemetry/decode_trace.hh"

@@ -17,24 +17,6 @@ perfectMatchingCount(int m)
     return n;
 }
 
-void
-forEachPerfectMatching(int m,
-                       const std::function<void(const PairList &)> &visit)
-{
-    forEachPerfectMatchingT(m, visit);
-}
-
-std::vector<PairList>
-allPerfectMatchings(int m)
-{
-    std::vector<PairList> out;
-    out.reserve(perfectMatchingCount(m));
-    forEachPerfectMatchingT(m, [&](const PairList &pl) {
-        out.push_back(pl);
-    });
-    return out;
-}
-
 double
 exhaustiveMinWeightMatching(
     int m, const std::function<double(int, int)> &pair_weight,

@@ -6,14 +6,11 @@
  * (paper Eq. 2): 3 for w = 4, 15 for w = 6, 105 for w = 8, 945 for
  * w = 10. The enumerator walks them in the same canonical order the
  * hardware does — always extending the lowest-index unmatched node — so
- * the HW6Decoder tables, the flattened MatchingTable rows the SIMD
- * kernels evaluate, and the pre-matching schedules for Hamming weights
- * 8 and 10 can all be derived from it directly.
- *
- * The visitor-driven walk comes in two flavors: the template
- * forEachPerfectMatchingT() (no type erasure — table generation and
- * tests pay only the inlined callback) and the std::function wrapper
- * forEachPerfectMatching() retained for existing callers.
+ * the flattened MatchingTable rows the matching kernels evaluate, and
+ * the pre-matching schedules for Hamming weights 8 and 10, can be
+ * derived from it directly. The visitor-driven walk is a template
+ * (forEachPerfectMatchingT): no type erasure, so table generation and
+ * tests pay only the inlined callback.
  */
 
 #ifndef ASTREA_MATCHING_ENUMERATOR_HH
@@ -80,21 +77,6 @@ forEachPerfectMatchingT(int m, Visitor &&visit)
     current.reserve(m / 2);
     detail::enumerateMatchings((1u << m) - 1, current, visit);
 }
-
-/**
- * Visit every perfect matching of m nodes (m even) in canonical order.
- * Type-erased wrapper over forEachPerfectMatchingT() for callers that
- * need to store or forward the callback.
- */
-void forEachPerfectMatching(int m,
-                            const std::function<void(const PairList &)>
-                                &visit);
-
-/**
- * All perfect matchings of m nodes, materialized. Intended for small m
- * (the HW6Decoder uses m = 6: 15 matchings).
- */
-std::vector<PairList> allPerfectMatchings(int m);
 
 /**
  * Exhaustive minimum-weight perfect matching.

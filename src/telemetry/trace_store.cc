@@ -1,10 +1,13 @@
 #include "telemetry/trace_store.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <cstddef>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <type_traits>
 
 #include "common/env.hh"
 #include "telemetry/decode_trace.hh"
@@ -17,16 +20,62 @@ namespace astrea
 namespace telemetry
 {
 
+namespace
+{
+
+static_assert(std::is_trivially_copyable_v<StoredTrace> &&
+                  sizeof(StoredTrace) % sizeof(uint64_t) == 0,
+              "StoredTrace must copy as whole 8-byte words");
+constexpr size_t kTraceWords = sizeof(StoredTrace) / sizeof(uint64_t);
+static_assert(offsetof(StoredTrace, traceId) % sizeof(uint64_t) == 0);
+constexpr size_t kTraceIdWord =
+    offsetof(StoredTrace, traceId) / sizeof(uint64_t);
+
+uint64_t
+loadWord(uint64_t &w)
+{
+    return std::atomic_ref<uint64_t>(w).load(std::memory_order_relaxed);
+}
+
+/** Copy t into slot words with relaxed atomic stores. */
+void
+storeWords(uint64_t *words, const StoredTrace &t)
+{
+    const char *src = reinterpret_cast<const char *>(&t);
+    for (size_t k = 0; k < kTraceWords; k++) {
+        uint64_t w;
+        std::memcpy(&w, src + k * sizeof(uint64_t), sizeof(w));
+        std::atomic_ref<uint64_t>(words[k]).store(
+            w, std::memory_order_relaxed);
+    }
+}
+
+/** Copy slot words out with relaxed atomic loads. The result is only
+ *  a valid StoredTrace if the seqlock re-check accepts it. */
+void
+loadWords(uint64_t *words, StoredTrace *out)
+{
+    char *dst = reinterpret_cast<char *>(out);
+    for (size_t k = 0; k < kTraceWords; k++) {
+        const uint64_t w = loadWord(words[k]);
+        std::memcpy(dst + k * sizeof(uint64_t), &w, sizeof(w));
+    }
+}
+
+} // namespace
+
 /**
  * One ring slot. The payload is published under a per-slot sequence
- * (odd = write in progress, even = stable); the audit annotation is an
- * atomic side channel keyed by annId so the background auditor never
- * has to take part in the seqlock protocol.
+ * (odd = write in progress, even = stable) and copied as relaxed
+ * atomic words, so a reader racing a writer sees stale or mixed words
+ * — which the sequence re-check rejects — but never a data race. The
+ * audit annotation is an atomic side channel keyed by annId so the
+ * background auditor never has to take part in the seqlock protocol.
  */
 struct TraceStore::Slot
 {
     std::atomic<uint64_t> seq{0};
-    StoredTrace t;
+    uint64_t words[kTraceWords] = {};
 
     std::atomic<uint64_t> annId{0};
     std::atomic<uint32_t> annFlags{0};  ///< bit 0 done, bit 1 mismatch.
@@ -103,15 +152,30 @@ TraceStore::setRunInfo(std::string context_json,
 void
 TraceStore::keep(const StoredTrace &t)
 {
-    kept_.fetch_add(1, relaxed_);
     const uint64_t pos = head_.fetch_add(1, relaxed_);
+    Slot &s = slots_[pos % capacity_];
+
+    // Claim the slot: CAS its sequence from a stable value older than
+    // this position to this position's odd "writing" value. A slot
+    // mid-write, or already holding a newer trace, means a lapping
+    // writer won it; this trace is dropped rather than interleaved.
+    // The acquire orders this payload's stores after the previous
+    // writer's, and the release fence orders them after the claim.
+    uint64_t cur = s.seq.load(relaxed_);
+    if ((cur & 1) != 0 || cur > 2 * pos ||
+        !s.seq.compare_exchange_strong(cur, 2 * pos + 1,
+                                       std::memory_order_acquire,
+                                       relaxed_))
+    {
+        dropped_.fetch_add(1, relaxed_);
+        return;
+    }
+    std::atomic_thread_fence(std::memory_order_release);
+    kept_.fetch_add(1, relaxed_);
     if (pos >= capacity_)
         evicted_.fetch_add(1, relaxed_);
-
-    Slot &s = slots_[pos % capacity_];
-    s.seq.store(2 * pos + 1, std::memory_order_release);
     s.annId.store(0, relaxed_);
-    s.t = t;
+    storeWords(s.words, t);
     s.seq.store(2 * pos + 2, std::memory_order_release);
 
     // Exemplar update: pin this trace if it is the new worst of its
@@ -130,15 +194,15 @@ TraceStore::keep(const StoredTrace &t)
 bool
 TraceStore::readSlot(size_t idx, StoredTrace *out) const
 {
-    const Slot &s = slots_[idx];
+    Slot &s = slots_[idx];
     for (int attempt = 0; attempt < 4; attempt++) {
         const uint64_t before =
             s.seq.load(std::memory_order_acquire);
         if (before == 0 || (before & 1))
             return false;  // Never written, or write in progress.
-        *out = s.t;
+        loadWords(s.words, out);
         std::atomic_thread_fence(std::memory_order_acquire);
-        if (s.seq.load(std::memory_order_acquire) == before) {
+        if (s.seq.load(relaxed_) == before) {
             // Merge the audit side channel if it belongs to this
             // payload generation.
             if (s.annId.load(std::memory_order_acquire) ==
@@ -177,9 +241,9 @@ TraceStore::annotateAudit(uint64_t trace_id, bool mismatch,
             s.seq.load(std::memory_order_acquire);
         if (before == 0 || (before & 1))
             continue;
-        // Racy id peek is fine: a stale match is filtered by readers
-        // re-checking annId against the payload they actually copied.
-        if (s.t.traceId != trace_id)
+        // An unchecked id peek is fine: a stale match is filtered by
+        // readers re-checking annId against the payload they copied.
+        if (loadWord(s.words[kTraceIdWord]) != trace_id)
             continue;
         s.annFlags.store((mismatch ? 2u : 0u) | 1u, relaxed_);
         s.annGap.store(gap_decades, relaxed_);

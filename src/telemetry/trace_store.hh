@@ -7,12 +7,13 @@
  * interesting ones — slow, gave up, audit-sampled, or hit by the head
  * stride. Kept traces land here, in two places:
  *
- *  - a fixed-capacity ring of seqlock-published slots. Writers claim a
- *    slot with one fetch_add and publish with two release stores
- *    (odd = writing, even = stable); readers copy the payload and
- *    re-check the sequence, retrying torn reads. Nothing blocks and
- *    nothing allocates on the keep path — the slot array is allocated
- *    once at configure();
+ *  - a fixed-capacity ring of seqlock-published slots. A writer takes
+ *    a ring position with one fetch_add, claims the position's slot
+ *    by a CAS of its sequence to an odd value and publishes with a
+ *    release store of the next even value; the payload moves in and
+ *    out as relaxed atomic words, and readers re-check the sequence,
+ *    retrying torn reads. Nothing blocks and nothing allocates on the
+ *    keep path — the slot array is allocated once at configure();
  *  - a per-latency-bucket exemplar table (the log2 buckets of
  *    telemetry/metrics.hh, the same geometry the /metrics latency
  *    histogram exposes). Each bucket pins a full copy of its
@@ -26,12 +27,10 @@
  * per-slot atomic side channel keyed by trace id, so it never disturbs
  * the seqlock protocol, and updates the exemplar copy under the mutex.
  *
- * The ring tolerates one theoretical race: a writer lapped by a full
- * ring rotation during its two-store publish window could interleave
- * with the lapping writer. With even modest capacities that requires
- * thousands of kept traces inside a ~100 ns memcpy; readers still
- * never see torn data (the sequence re-check fails), they just skip
- * the slot.
+ * Writers that lap each other on one slot never interleave: the CAS
+ * succeeds only from a stable sequence older than the writer's
+ * position, so a writer that finds the slot mid-write or already
+ * holding a newer trace counts its own trace as dropped instead.
  */
 
 #ifndef ASTREA_TELEMETRY_TRACE_STORE_HH
@@ -173,8 +172,10 @@ class TraceStore
     }
 
     /** Retain a trace: ring publish + exemplar update. Lock-free on
-     *  the ring; takes the exemplar mutex only when this trace is the
-     *  new worst of its latency bucket. Never allocates. */
+     *  the ring; takes the exemplar mutex to check whether this trace
+     *  is the new worst of its latency bucket. Never allocates. A
+     *  trace that loses its ring slot to a lapping writer is counted
+     *  as dropped and not kept. */
     void keep(const StoredTrace &t);
 
     /**

@@ -1,14 +1,16 @@
 /**
  * @file
- * Tests for the HW6Decoder and the Astrea decoder: table sizes, the
- * exactness property (Astrea == true MWPM over quantized weights for
- * HW <= 10), the latency model (paper Sec. 5.4), and give-up behavior.
+ * Tests for the Astrea decoder: the exactness property (Astrea == true
+ * MWPM for HW <= 10, over quantized and over exact weights), the
+ * latency model (paper Sec. 5.4), and give-up behavior.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+
 #include "astrea/astrea_decoder.hh"
-#include "astrea/hw6.hh"
 #include "common/rng.hh"
 #include "harness/memory_experiment.hh"
 #include "matching/dp_matcher.hh"
@@ -28,70 +30,6 @@ sharedContext()
         return ExperimentContext(cfg);
     }();
     return ctx;
-}
-
-// ---------------------------------------------------------------- HW6
-
-TEST(Hw6, TableSizes)
-{
-    Hw6Decoder hw6;
-    EXPECT_EQ(hw6.matchingTable(2).size(), 1u);
-    EXPECT_EQ(hw6.matchingTable(4).size(), 3u);
-    EXPECT_EQ(hw6.matchingTable(6).size(), 15u);
-    EXPECT_EQ(Hw6Decoder::kNumAdders, 30);
-}
-
-TEST(Hw6, EmptyInput)
-{
-    Hw6Decoder hw6;
-    PairList out;
-    EXPECT_EQ(hw6.match(0, [](int, int) { return WeightSum{1}; }, out),
-              0u);
-    EXPECT_TRUE(out.empty());
-}
-
-TEST(Hw6, TwoNodes)
-{
-    Hw6Decoder hw6;
-    PairList out;
-    WeightSum w = hw6.match(
-        2, [](int, int) { return WeightSum{7}; }, out);
-    EXPECT_EQ(w, 7u);
-    ASSERT_EQ(out.size(), 1u);
-    EXPECT_EQ(out[0], (std::pair<int, int>{0, 1}));
-}
-
-TEST(Hw6, SixNodesFindsOptimum)
-{
-    // Weight 1 on the target pairs, 50 elsewhere.
-    auto w = [](int i, int j) -> WeightSum {
-        auto good = [](int a, int b) {
-            return (a == 0 && b == 5) || (a == 1 && b == 3) ||
-                   (a == 2 && b == 4);
-        };
-        return good(std::min(i, j), std::max(i, j)) ? 1 : 50;
-    };
-    Hw6Decoder hw6;
-    PairList out;
-    EXPECT_EQ(hw6.match(6, w, out), 3u);
-}
-
-TEST(Hw6, PropagatesInfiniteWeight)
-{
-    Hw6Decoder hw6;
-    PairList out;
-    WeightSum w = hw6.match(
-        6, [](int, int) { return kInfiniteWeightSum; }, out);
-    EXPECT_EQ(w, kInfiniteWeightSum);
-}
-
-TEST(Hw6, RejectsOddCount)
-{
-    Hw6Decoder hw6;
-    PairList out;
-    EXPECT_DEATH(hw6.match(3, [](int, int) { return WeightSum{1}; },
-                           out),
-                 "nodes");
 }
 
 // ------------------------------------------------------- latency model
@@ -213,7 +151,13 @@ INSTANTIATE_TEST_SUITE_P(HammingWeights, AstreaExactnessTest,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8, 9,
                                            10));
 
-/** Same exactness property, exact-weight ablation configuration. */
+/**
+ * Same exactness property, exact-weight ablation configuration. The DP
+ * gets the decoder's own 2^-16-decade fixed-point weights; they are
+ * integers, so a double holds every sum exactly and the optimum must
+ * match bit for bit. Odd Hamming weights exercise the virtual
+ * boundary node of the decoder's tile.
+ */
 class AstreaExactWeightTest : public ::testing::TestWithParam<int>
 {
 };
@@ -227,6 +171,15 @@ TEST_P(AstreaExactWeightTest, MatchesDpOnExactWeights)
     cfg.quantizedWeights = false;
     AstreaDecoder dec(gwt, cfg);
     Rng rng(900 + hw);
+
+    constexpr double kExactScale = 65536.0;
+    auto fixed_point = [&](uint32_t a, uint32_t b) {
+        const double decades = gwt.exactWeight(a, b);
+        if (!std::isfinite(decades))
+            return decades;
+        return static_cast<double>(
+            static_cast<WeightSum>(decades * kExactScale));
+    };
 
     for (int trial = 0; trial < 25; trial++) {
         std::vector<uint32_t> defects;
@@ -246,19 +199,16 @@ TEST_P(AstreaExactWeightTest, MatchesDpOnExactWeights)
         MatchingSolution dp = dpMatchWithBoundary(
             hw,
             [&](int i, int j) {
-                return gwt.exactWeight(defects[i], defects[j]);
+                return fixed_point(defects[i], defects[j]);
             },
-            [&](int i) {
-                return gwt.exactWeight(defects[i], defects[i]);
-            });
-        // The exact-mode fixed point has 2^-16-decade granularity.
-        EXPECT_NEAR(r.matchingWeight, dp.totalWeight, 1e-3)
+            [&](int i) { return fixed_point(defects[i], defects[i]); });
+        EXPECT_EQ(r.matchingWeight * kExactScale, dp.totalWeight)
             << "hw=" << hw << " trial=" << trial;
     }
 }
 
 INSTANTIATE_TEST_SUITE_P(HammingWeights, AstreaExactWeightTest,
-                         ::testing::Values(2, 4, 6, 8, 10));
+                         ::testing::Range(1, 11));
 
 TEST(AstreaDecode, AgreesWithMwpmOnRealShots)
 {

@@ -1,12 +1,13 @@
 /**
  * @file
- * Kernel parity suite: the AVX-512, AVX2 and scalar
- * candidate-evaluation kernels must agree bit-for-bit with each other
- * and with the legacy enumerator-driven evaluation — minimum weight, winning row (hence
- * winning pair set) and reconstructed observable mask — over seeded
- * random weight tiles including infinite entries and values deep in
- * the 16-bit saturation range. Runs under the sanitizer CI jobs like
- * every other test.
+ * Kernel parity suite: every kernel tier's candidate evaluation —
+ * scalar, AVX2, and the AVX-512 tier (which runs the AVX2 per-tile
+ * kernel and its own lane-major bucket kernel) — must agree
+ * bit-for-bit with each other and with the legacy enumerator-driven
+ * evaluation — minimum weight, winning row (hence winning pair set)
+ * and reconstructed observable mask — over seeded random weight tiles
+ * including infinite entries and values deep in the 16-bit saturation
+ * range. Runs under the sanitizer CI jobs like every other test.
  */
 
 #include <gtest/gtest.h>
@@ -422,30 +423,18 @@ TEST(KernelMatchTile32, AgreesWithAddWeightsSemantics)
             if (ref.weight != kInfiniteWeightSum)
                 ASSERT_EQ(got.row, ref.row)
                     << "m " << m << " trial " << trial;
-
-            if (cpuHasAvx512()) {
-                const KernelMatch wide = matchTile32(
-                    table, tile.data(), KernelKind::kAvx512);
-                ASSERT_EQ(wide.weight, ref.weight)
-                    << "m " << m << " trial " << trial;
-                if (ref.weight != kInfiniteWeightSum)
-                    ASSERT_EQ(wide.row, ref.row)
-                        << "m " << m << " trial " << trial;
-            }
         }
     }
 }
 
-TEST(KernelMatchTile32, Avx512ReadsOnlyUpperTriangle)
+TEST(KernelMatchTile32, ReadsOnlyUpperTriangle)
 {
-    // The HW6 unit model only initializes i < j tile entries; the
-    // AVX-512 variant must mask its gathers so everything else —
-    // diagonal, lower triangle, tile[0] — is never read. Poison those
-    // entries with zeros (which would win any min-reduction) and check
-    // the result still matches the scalar evaluation.
-    if (!cpuHasAvx512())
-        GTEST_SKIP() << "host lacks AVX-512";
-    for (int m : {2, 4, 6}) {
+    // The exact-weight decoder only initializes i < j tile entries, so
+    // everything else — diagonal, lower triangle, tile[0] — must never
+    // be read. Poison those entries with zeros (which would win any
+    // min-reduction) and check the result against the enumerator over
+    // the upper triangle.
+    for (int m : {2, 4, 6, 8, 10}) {
         const MatchingTable &table = MatchingTable::forNodes(m);
         Rng rng(0xcafe0000u + static_cast<uint64_t>(m));
         std::vector<WeightSum> tile;
@@ -457,13 +446,24 @@ TEST(KernelMatchTile32, Avx512ReadsOnlyUpperTriangle)
                         1 + static_cast<WeightSum>(
                                 rng.uniformInt(1u << 20));
 
-            const KernelMatch scalar =
-                matchTile32(table, tile.data(), KernelKind::kScalar);
-            const KernelMatch wide =
-                matchTile32(table, tile.data(), KernelKind::kAvx512);
-            ASSERT_EQ(wide.weight, scalar.weight)
+            KernelMatch ref;
+            ref.weight = kInfiniteWeightSum;
+            uint32_t row = 0;
+            forEachPerfectMatchingT(m, [&](const PairList &pl) {
+                WeightSum sum = 0;
+                for (auto [i, j] : pl)
+                    sum += tile[static_cast<size_t>(i) * m + j];
+                if (sum < ref.weight) {
+                    ref.weight = sum;
+                    ref.row = row;
+                }
+                row++;
+            });
+
+            const KernelMatch got = matchTile32(table, tile.data());
+            ASSERT_EQ(got.weight, ref.weight)
                 << "m " << m << " trial " << trial;
-            ASSERT_EQ(wide.row, scalar.row)
+            ASSERT_EQ(got.row, ref.row)
                 << "m " << m << " trial " << trial;
         }
     }
@@ -498,22 +498,10 @@ widestSupportedKind()
     return KernelKind::kScalar;
 }
 
-TEST(KernelDispatch, ForcedScalarOverridesCpuid)
-{
-    {
-        ScopedEnv clear("ASTREA_FORCE_KERNEL", nullptr);
-        ScopedEnv force("ASTREA_FORCE_SCALAR", "1");
-        resetKernelDispatchForTest();
-        EXPECT_EQ(activeKernelKind(), KernelKind::kScalar);
-    }
-    resetKernelDispatchForTest();
-}
-
 TEST(KernelDispatch, DefaultFollowsCpuid)
 {
     {
-        ScopedEnv clear_kernel("ASTREA_FORCE_KERNEL", nullptr);
-        ScopedEnv clear_scalar("ASTREA_FORCE_SCALAR", nullptr);
+        ScopedEnv clear("ASTREA_FORCE_KERNEL", nullptr);
         resetKernelDispatchForTest();
         EXPECT_EQ(activeKernelKind(), widestSupportedKind());
     }
@@ -522,7 +510,6 @@ TEST(KernelDispatch, DefaultFollowsCpuid)
 
 TEST(KernelDispatch, ForceKernelPinsEachSupportedTier)
 {
-    ScopedEnv clear_scalar("ASTREA_FORCE_SCALAR", nullptr);
     {
         ScopedEnv force("ASTREA_FORCE_KERNEL", "scalar");
         resetKernelDispatchForTest();
@@ -541,24 +528,10 @@ TEST(KernelDispatch, ForceKernelPinsEachSupportedTier)
     resetKernelDispatchForTest();
 }
 
-TEST(KernelDispatch, ForceKernelBeatsLegacyForceScalar)
-{
-    if (!cpuHasAvx2())
-        GTEST_SKIP() << "host lacks AVX2";
-    {
-        ScopedEnv force("ASTREA_FORCE_KERNEL", "avx2");
-        ScopedEnv legacy("ASTREA_FORCE_SCALAR", "1");
-        resetKernelDispatchForTest();
-        EXPECT_EQ(activeKernelKind(), KernelKind::kAvx2);
-    }
-    resetKernelDispatchForTest();
-}
-
 TEST(KernelDispatch, UnsupportedTierFallsBackToBestSupported)
 {
     // Cap the reported cpuid at AVX2 so forcing AVX-512 is
     // unsupported regardless of the actual host.
-    ScopedEnv clear_scalar("ASTREA_FORCE_SCALAR", nullptr);
     {
         ScopedEnv force("ASTREA_FORCE_KERNEL", "avx512");
         setCpuKernelCapForTest(KernelKind::kAvx2);
@@ -577,7 +550,6 @@ TEST(KernelDispatch, UnsupportedTierFallsBackToBestSupported)
 
 TEST(KernelDispatch, UnknownTierNameFallsBackToAutomatic)
 {
-    ScopedEnv clear_scalar("ASTREA_FORCE_SCALAR", nullptr);
     {
         ScopedEnv force("ASTREA_FORCE_KERNEL", "sse9");
         resetKernelDispatchForTest();

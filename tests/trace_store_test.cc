@@ -9,9 +9,13 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "harness/latency_stats.hh"
 #include "telemetry/decode_trace.hh"
@@ -259,6 +263,139 @@ TEST(TraceStoreTest, DetailJsonCarriesSpansAuditAndRunInfo)
     EXPECT_EQ(doc["decoder_config"]["name"].asString(""), "astrea");
 
     EXPECT_TRUE(store.detailJson(12345).empty());
+}
+
+/** A trace whose every field derives from its id, so a copy that
+ *  mixes two writers' payloads cannot pass selfConsistent(). */
+StoredTrace
+derivedTrace(uint64_t id)
+{
+    StoredTrace t;
+    t.traceId = id;
+    t.shot = id * 3 + 1;
+    t.stream = static_cast<uint32_t>(id % 5);
+    t.hw = static_cast<uint32_t>(id % kTraceMaxDefects);
+    std::snprintf(t.decoder, sizeof(t.decoder), "dec%llu",
+                  static_cast<unsigned long long>(id % 1000));
+    t.latencyNs = 100.0 + static_cast<double>(id % 997);
+    t.cycles = id ^ 0x5a5a;
+    t.matchingWeight = 0.5 * static_cast<double>(id);
+    t.obsMask = ~id;
+    t.actualObs = id * 0x9e3779b97f4a7c15ull;
+    t.reasons = kTraceKeepSlow;
+    t.numSpans = static_cast<uint32_t>(id % kTraceMaxSpans);
+    t.droppedSpans = static_cast<uint32_t>(id % 3);
+    for (uint32_t k = 0; k < kTraceMaxSpans; k++) {
+        t.spans[k].stage = static_cast<uint8_t>(k % 4);
+        t.spans[k].shot = static_cast<int32_t>(id % 64);
+        t.spans[k].startNs = static_cast<uint32_t>(id + k);
+        t.spans[k].durNs = static_cast<uint32_t>(id * 7 + k);
+    }
+    for (uint32_t k = 0; k < kTraceMaxDefects; k++)
+        t.defects[k] = static_cast<uint32_t>(id * 11 + k);
+    return t;
+}
+
+/** Every field of t equals derivedTrace(t.traceId)'s. */
+bool
+selfConsistent(const StoredTrace &t)
+{
+    const StoredTrace w = derivedTrace(t.traceId);
+    bool ok = t.shot == w.shot && t.stream == w.stream &&
+              t.hw == w.hw &&
+              std::memcmp(t.decoder, w.decoder, sizeof(t.decoder)) == 0 &&
+              t.latencyNs == w.latencyNs && t.cycles == w.cycles &&
+              t.matchingWeight == w.matchingWeight &&
+              t.obsMask == w.obsMask && t.actualObs == w.actualObs &&
+              t.reasons == w.reasons && t.numSpans == w.numSpans &&
+              t.droppedSpans == w.droppedSpans && !t.gaveUp &&
+              !t.audited && !t.auditDone;
+    for (uint32_t k = 0; k < kTraceMaxSpans; k++) {
+        ok = ok && t.spans[k].stage == w.spans[k].stage &&
+             t.spans[k].shot == w.spans[k].shot &&
+             t.spans[k].startNs == w.spans[k].startNs &&
+             t.spans[k].durNs == w.spans[k].durNs;
+    }
+    for (uint32_t k = 0; k < kTraceMaxDefects; k++)
+        ok = ok && t.defects[k] == w.defects[k];
+    return ok;
+}
+
+TEST(TraceStoreTest, LappingWritersNeverPublishTornCopies)
+{
+    // Four writers keep() into a four-slot ring, so they lap each
+    // other on every slot, while readers copy traces out through
+    // find() and indexJson(). Every copy a reader accepts must be one
+    // writer's whole payload. The tsan CI job runs this binary, which
+    // also holds the payload copy itself to being race-free.
+    constexpr uint64_t kWriters = 4;
+    constexpr uint64_t kPerWriter = 20000;
+    TraceStore store(4);
+    std::atomic<uint64_t> last_id{0};
+    std::atomic<bool> done{false};
+    std::atomic<uint64_t> torn{0};
+    std::atomic<uint64_t> accepted{0};
+
+    auto check_find = [&] {
+        StoredTrace out;
+        do {
+            const uint64_t id = last_id.load(std::memory_order_relaxed);
+            if (id == 0 || !store.find(id, &out))
+                continue;
+            accepted.fetch_add(1, std::memory_order_relaxed);
+            if (out.traceId != id || !selfConsistent(out))
+                torn.fetch_add(1, std::memory_order_relaxed);
+        } while (!done.load(std::memory_order_acquire));
+    };
+    auto check_index = [&] {
+        do {
+            JsonValue doc;
+            if (!parseJson(store.indexJson(TraceQuery{}), doc)) {
+                torn.fetch_add(1, std::memory_order_relaxed);
+                continue;
+            }
+            for (const JsonValue &e : doc["traces"].arr) {
+                accepted.fetch_add(1, std::memory_order_relaxed);
+                const StoredTrace w = derivedTrace(
+                    parseTraceIdHex(e["trace_id"].asString()));
+                if (e["shot"].asUint(0) != w.shot ||
+                    e["stream"].asUint(~0ull) != w.stream ||
+                    e["hw"].asUint(~0ull) != w.hw ||
+                    e["decoder"].asString() != w.decoder ||
+                    e["latency_ns"].asNumber(-1.0) != w.latencyNs ||
+                    e["spans"].asUint(~0ull) != w.numSpans)
+                {
+                    torn.fetch_add(1, std::memory_order_relaxed);
+                }
+            }
+        } while (!done.load(std::memory_order_acquire));
+    };
+
+    std::vector<std::thread> writers;
+    for (uint64_t w = 0; w < kWriters; w++) {
+        writers.emplace_back([&, w] {
+            for (uint64_t k = 0; k < kPerWriter; k++) {
+                const uint64_t id = 1 + w + kWriters * k;
+                store.keep(derivedTrace(id));
+                last_id.store(id, std::memory_order_relaxed);
+            }
+        });
+    }
+    std::thread finder(check_find);
+    std::thread indexer(check_index);
+    for (std::thread &t : writers)
+        t.join();
+    done.store(true, std::memory_order_release);
+    finder.join();
+    indexer.join();
+
+    EXPECT_EQ(torn.load(), 0u);
+    EXPECT_GT(accepted.load(), 0u);
+    // A writer that loses its slot to a lapping writer drops its
+    // trace; every keep() is accounted for exactly once.
+    const TraceStore::Counters c = store.counters();
+    EXPECT_EQ(c.kept + c.dropped, kWriters * kPerWriter);
+    EXPECT_EQ(c.occupancy, 4u);
 }
 
 /** Tracer fixture: isolates the process-wide retention config. */

@@ -33,7 +33,7 @@ gated only when both reports were collected with working counters
 (perf.available true on both sides); a run on a locked-down host
 skips them instead of failing.
 
-Optional kernel columns (the avx512 microbench columns and the
+Optional kernel columns (the simd microbench columns and the
 per-tier avx2/avx512 throughput blocks) are emitted as JSON null on
 hosts that lack the instruction set; when either side of the
 comparison lacks such a value, the metric is skipped rather than
@@ -80,10 +80,8 @@ DEFAULT_METRICS = [
     ("legacy_ns", "latency"),
     ("scalar_ns", "latency"),
     ("simd_ns", "latency"),
-    ("avx512_ns", "latency"),
     ("speedup_scalar", "speedup"),
     ("speedup_simd", "speedup"),
-    ("speedup_avx512", "speedup"),
     # Decode-throughput macro-bench (results array keyed by "d",
     # per-kernel-tier blocks; decodes/sec and the batched-vs-single
     # ratio are floors).
@@ -124,8 +122,8 @@ RATE_COUNT_FIELDS = {
 # failed — "not measured here" is not a regression. They are likewise
 # exempt from the structural coverage check.
 OPTIONAL_METRIC_PREFIXES = (
-    "avx512_ns",
-    "speedup_avx512",
+    "simd_ns",
+    "speedup_simd",
     "avx2",
     "avx512",
 )

@@ -313,21 +313,21 @@ class BenchCompareTest(unittest.TestCase):
             self.run_compare(base, cur, ["--perf-threshold", "0.6"]),
             0)
 
-    def test_null_avx512_column_is_skipped(self):
-        # Baseline measured AVX-512; current host lacks it and emits
+    def test_null_simd_column_is_skipped(self):
+        # Baseline measured AVX2; current host lacks it and emits
         # null. Optional kernel columns skip instead of failing.
-        base = micro_report(avx512_ns=500.0, speedup_avx512=80.0)
-        cur = micro_report(avx512_ns=None, speedup_avx512=None)
-        self.assertEqual(self.run_compare(base, cur), 0)
+        cur = micro_report(simd_ns=None, speedup_simd=None)
+        self.assertEqual(self.run_compare(micro_report(), cur), 0)
 
-    def test_absent_avx512_column_is_skipped(self):
-        base = micro_report(avx512_ns=500.0, speedup_avx512=80.0)
-        self.assertEqual(self.run_compare(base, micro_report()), 0)
+    def test_absent_simd_column_is_skipped(self):
+        cur = micro_report()
+        del cur["results"][0]["simd_ns"]
+        del cur["results"][0]["speedup_simd"]
+        self.assertEqual(self.run_compare(micro_report(), cur), 0)
 
-    def test_present_avx512_column_still_gated(self):
-        base = micro_report(avx512_ns=500.0, speedup_avx512=80.0)
-        cur = micro_report(avx512_ns=500.0, speedup_avx512=20.0)
-        self.assertEqual(self.run_compare(base, cur), 1)
+    def test_present_simd_column_still_gated(self):
+        cur = micro_report(speedup_simd=10.0)
+        self.assertEqual(self.run_compare(micro_report(), cur), 1)
 
     def test_throughput_identical_passes(self):
         self.assertEqual(
