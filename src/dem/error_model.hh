@@ -15,7 +15,7 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <map>
+#include <span>
 #include <vector>
 
 namespace astrea
@@ -49,6 +49,14 @@ class ErrorModel
     void addMechanism(double probability, std::vector<uint32_t> detectors,
                       uint64_t observables);
 
+    /**
+     * addMechanism() for detectors already sorted ascending. The
+     * detectors are copied only when they start a new mechanism.
+     */
+    void addSortedMechanism(double probability,
+                            std::span<const uint32_t> detectors,
+                            uint64_t observables);
+
     const std::vector<ErrorMechanism> &mechanisms() const
     {
         return mechanisms_;
@@ -58,11 +66,18 @@ class ErrorModel
     double expectedErrorsPerShot() const;
 
   private:
+    /** Re-insert every mechanism into an index of `slots` slots. */
+    void rebuildIndex(size_t slots);
+
     uint32_t numDetectors_;
     uint32_t numObservables_;
     std::vector<ErrorMechanism> mechanisms_;
-    /** symptom -> index in mechanisms_. */
-    std::map<std::pair<std::vector<uint32_t>, uint64_t>, size_t> index_;
+    /**
+     * Open-addressing hash index over symptoms: each slot holds a
+     * mechanism's index plus one, or 0 when empty. Its size is a power
+     * of two at least twice the mechanism count.
+     */
+    std::vector<uint32_t> index_;
 };
 
 } // namespace astrea

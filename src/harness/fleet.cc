@@ -172,6 +172,10 @@ DecodeFleet::flushLocked(Shard &s, size_t n, uint64_t now_ns)
         s.batch.add({j.defects.data(), j.hw});
     }
     s.decoder->decodeBatch(s.batch, s.results, s.scratch);
+    // Count the flush before its verdicts leave: whoever holds a
+    // verdict may read the counters, and must find it counted.
+    batchesTotal_.fetch_add(1, std::memory_order_relaxed);
+    decodedTotal_.fetch_add(n, std::memory_order_relaxed);
 
     for (size_t i = 0; i < n; i++) {
         const FleetJob &j = s.pendingJobs[i];
@@ -190,8 +194,6 @@ DecodeFleet::flushLocked(Shard &s, size_t n, uint64_t now_ns)
             sink_(v);
         }
     }
-    batchesTotal_.fetch_add(1, std::memory_order_relaxed);
-    decodedTotal_.fetch_add(n, std::memory_order_relaxed);
 }
 
 size_t

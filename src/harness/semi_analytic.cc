@@ -6,7 +6,6 @@
 #include "common/logging.hh"
 #include "common/thread_pool.hh"
 #include "dem/extractor.hh"
-#include "sim/frame_sim.hh"
 
 namespace astrea
 {
@@ -19,8 +18,10 @@ estimateLerSemiAnalyticMulti(const ExperimentContext &ctx,
     ASTREA_CHECK(!factories.empty(), "no decoders given");
     unsigned threads = config.threads ? config.threads
                                       : defaultWorkerCount();
-    const auto sites = enumerateFaultSites(ctx.circuit());
-    const uint64_t n_sites = sites.size();
+    // Every site outcome's symptoms, once per call; a shot's symptoms
+    // are the XOR of its chosen outcomes' rows.
+    const FaultSymptomTable table = buildFaultSymptomTable(ctx.circuit());
+    const uint64_t n_sites = table.sites.size();
     const double p = ctx.config().physicalErrorRate;
     const uint64_t max_shots =
         config.maxShotsPerK ? config.maxShotsPerK : config.shotsPerK;
@@ -59,13 +60,10 @@ estimateLerSemiAnalyticMulti(const ExperimentContext &ctx,
             decoders.reserve(n_dec);
             for (const auto &f : factories)
                 decoders.push_back(f(ctx));
-            FrameSimulator sim(ctx.circuit());
             BitVec dets(ctx.circuit().numDetectors());
-            BitVec obs(ctx.circuit().numObservables());
-            std::vector<uint64_t> local_failures(n_dec, 0);
-
+            std::vector<uint32_t> defects;
             std::vector<uint64_t> chosen;
-            std::vector<FrameSimulator::Fault> faults;
+            std::vector<uint64_t> local_failures(n_dec, 0);
 
             for (uint64_t s = begin; s < end; s++) {
                 // Choose k distinct sites uniformly (rejection; k is
@@ -80,19 +78,22 @@ estimateLerSemiAnalyticMulti(const ExperimentContext &ctx,
                 }
                 std::sort(chosen.begin(), chosen.end());
 
-                faults.clear();
-                for (auto c : chosen) {
-                    faults.push_back(
-                        {sites[c].opIndex,
-                         sampleFaultOutcome(sites[c], rng)});
-                }
-
-                sim.propagateFaultSet(faults, dets, obs);
-                auto defects = dets.onesIndices();
-
+                // One uniform outcome per chosen site, drawn in site
+                // order; X and Z errors have one outcome and draw
+                // nothing.
+                dets.clear();
                 uint64_t actual = 0;
-                for (auto o : obs.onesIndices())
-                    actual |= (1ull << o);
+                for (auto c : chosen) {
+                    const uint32_t outcomes =
+                        faultOutcomeCount(table.sites[c].type);
+                    const uint64_t row =
+                        table.siteRow[c] +
+                        (outcomes > 1 ? rng.uniformInt(outcomes) : 0);
+                    for (uint32_t d : table.rowDetectors(row))
+                        dets.flip(d);
+                    actual ^= table.observables[row];
+                }
+                dets.onesIndicesInto(defects);
 
                 for (size_t di = 0; di < n_dec; di++) {
                     DecodeResult dr = decoders[di]->decode(defects);

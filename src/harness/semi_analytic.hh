@@ -10,7 +10,9 @@
  * instance fires i.i.d. with probability p, so k ~ Binomial(N, p) over
  * the N sites) and Pf(k) is the probability a decoder fails given k
  * faults, estimated by injecting exactly k uniformly-chosen faults per
- * shot through the reference frame simulator.
+ * shot. A shot's detectors and observables are the XOR of its faults'
+ * rows in the circuit's FaultSymptomTable (dem/extractor.hh), which is
+ * built once per call.
  */
 
 #ifndef ASTREA_HARNESS_SEMI_ANALYTIC_HH
@@ -69,9 +71,9 @@ SemiAnalyticResult estimateLerSemiAnalytic(
 /**
  * Run the estimator for several decoders on IDENTICAL fault sets.
  *
- * Every injected shot is propagated once and decoded by every decoder,
+ * Every injected shot is sampled once and decoded by every decoder,
  * so cross-decoder LER ratios are exactly paired (no sampling noise
- * between columns) and the expensive frame propagation is shared. In
+ * between columns) and the sampling cost is shared. In
  * adaptive mode, sampling for a fault count continues until every
  * decoder has reached targetFailures or maxShotsPerK is exhausted.
  */

@@ -10,10 +10,12 @@
  * measurement flips. This is the same semantics as Stim's frame
  * simulator, specialized to the gate set in circuit/gate.hh.
  *
- * The simulator doubles as the propagation engine for detector-error-
- * model extraction: propagateInjection() pushes a single deterministic
- * Pauli fault through the (noiseless) remainder of the circuit and
- * reports which detectors and observables it flips.
+ * propagateInjection() pushes a single deterministic Pauli fault
+ * through the (noiseless) remainder of the circuit and reports which
+ * detectors and observables it flips; propagateFaultSet() does the same
+ * for several faults at once. Error-model extraction and the
+ * semi-analytic estimator use the backward sweep of dem/extractor.hh
+ * instead, and the tests hold that sweep to these two functions.
  */
 
 #ifndef ASTREA_SIM_FRAME_SIM_HH

@@ -415,6 +415,31 @@ TEST(DecodeFleet, FlushMarksEveryVerdictButTheLast)
     EXPECT_FALSE(verdicts[7].more);
 }
 
+TEST(DecodeFleet, CountsEachFlushBeforeItsVerdictsReachTheSink)
+{
+    // A client may read the counters as soon as it holds a verdict, so
+    // a flush must be counted before its last verdict leaves.
+    FleetConfig fc;
+    fc.shards = 1;
+    fc.ringCapacity = 8;
+    fc.maxBatch = 4;
+    DecodeFleet fleet(fc, smallContext(), registryFactory("astrea"));
+    std::vector<std::pair<uint64_t, uint64_t>> seen;
+    fleet.setVerdictSink([&](const FleetVerdict &v) {
+        if (!v.shed && !v.more)
+            seen.push_back({fleet.batchesTotal(), fleet.decodedTotal()});
+    });
+
+    for (uint32_t i = 0; i < 6; i++) {
+        FleetJob j = jobWith(0, i, 7, {0, 1});
+        ASSERT_EQ(fleet.submit(j), FleetSubmit::Enqueued);
+    }
+    EXPECT_EQ(fleet.pumpShard(0, 2), 4u);
+    EXPECT_EQ(fleet.pumpShard(0, 2), 2u);
+    const std::vector<std::pair<uint64_t, uint64_t>> want{{1, 4}, {2, 6}};
+    EXPECT_EQ(seen, want);
+}
+
 TEST(DecodeFleet, WakesParkedWorkerForOneShotAndStopsPromptly)
 {
     FleetConfig fc;
