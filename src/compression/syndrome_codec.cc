@@ -1,5 +1,8 @@
 #include "compression/syndrome_codec.hh"
 
+#include <algorithm>
+#include <bit>
+
 #include "common/logging.hh"
 
 namespace astrea
@@ -16,64 +19,6 @@ enum Tag : uint8_t
     kTagRunLength = 2,
 };
 
-void
-encodeRawInto(const BitVec &syndrome, std::vector<uint8_t> &out)
-{
-    out.push_back(kTagRaw);
-    uint8_t acc = 0;
-    for (size_t i = 0; i < syndrome.size(); i++) {
-        if (syndrome.get(i))
-            acc |= static_cast<uint8_t>(1u << (i % 8));
-        if (i % 8 == 7) {
-            out.push_back(acc);
-            acc = 0;
-        }
-    }
-    if (syndrome.size() % 8 != 0)
-        out.push_back(acc);
-}
-
-void
-encodeSparseInto(const BitVec &syndrome, std::vector<uint8_t> &out)
-{
-    // Indices need 2 bytes once the syndrome exceeds 256 bits.
-    const bool wide = syndrome.size() > 256;
-    out.push_back(kTagSparse);
-    out.push_back(0);  // Count byte, patched once known.
-    uint32_t count = 0;
-    for (size_t i = 0; i < syndrome.size(); i++) {
-        if (!syndrome.get(i))
-            continue;
-        count++;
-        out.push_back(static_cast<uint8_t>(i & 0xff));
-        if (wide)
-            out.push_back(static_cast<uint8_t>(i >> 8));
-    }
-    ASTREA_CHECK(count < 256, "syndrome too dense for count byte");
-    out[1] = static_cast<uint8_t>(count);
-}
-
-void
-encodeRunLengthInto(const BitVec &syndrome, std::vector<uint8_t> &out)
-{
-    // Byte stream of zero-run lengths before each set bit; 255 is an
-    // escape meaning "255 zeros and no bit yet".
-    out.push_back(kTagRunLength);
-    uint32_t run = 0;
-    for (size_t i = 0; i < syndrome.size(); i++) {
-        if (syndrome.get(i)) {
-            while (run >= 255) {
-                out.push_back(255);
-                run -= 255;
-            }
-            out.push_back(static_cast<uint8_t>(run));
-            run = 0;
-        } else {
-            run++;
-        }
-    }
-}
-
 } // namespace
 
 std::vector<uint8_t>
@@ -88,59 +33,163 @@ void
 encodeSyndromeInto(const BitVec &syndrome, SyndromeCodec codec,
                    std::vector<uint8_t> &out)
 {
+    thread_local std::vector<uint32_t> defects;
+    syndrome.onesIndicesInto(defects);
+    out.clear();
+    appendEncodedDefects(defects, static_cast<uint32_t>(syndrome.size()),
+                         codec, out);
+}
+
+void
+appendEncodedDefects(std::span<const uint32_t> defects, uint32_t num_bits,
+                     SyndromeCodec codec, std::vector<uint8_t> &out)
+{
+    bool increasing = true;
+    for (size_t i = 0; i < defects.size(); i++) {
+        ASTREA_CHECK(defects[i] < num_bits, "defect index out of range");
+        if (i > 0 && defects[i] <= defects[i - 1])
+            increasing = false;
+    }
+    if (!increasing) {
+        std::vector<uint32_t> sorted(defects.begin(), defects.end());
+        std::sort(sorted.begin(), sorted.end());
+        sorted.erase(std::unique(sorted.begin(), sorted.end()),
+                     sorted.end());
+        appendEncodedDefects(sorted, num_bits, codec, out);
+        return;
+    }
+
     // The raw bitmap is the fallback bound, so its size is known
     // without materializing it.
-    const size_t raw_size = 1 + (syndrome.size() + 7) / 8;
-    out.clear();
-    if (codec == SyndromeCodec::Sparse)
-        encodeSparseInto(syndrome, out);
-    else if (codec == SyndromeCodec::RunLength)
-        encodeRunLengthInto(syndrome, out);
-    // Lossless fallback: never ship more bytes than the raw bitmap.
-    if (codec == SyndromeCodec::Raw || out.size() >= raw_size) {
-        out.clear();
-        encodeRawInto(syndrome, out);
+    const size_t start = out.size();
+    const size_t raw_size = 1 + (static_cast<size_t>(num_bits) + 7) / 8;
+    if (codec == SyndromeCodec::Sparse) {
+        // A set-bit count, then each index in one byte, or two once
+        // the syndrome exceeds 256 bits.
+        ASTREA_CHECK(defects.size() < 256,
+                     "syndrome too dense for count byte");
+        const bool wide = num_bits > 256;
+        const size_t size = 2 + defects.size() * (wide ? 2 : 1);
+        if (size < raw_size) {
+            out.resize(start + size);
+            uint8_t *p = out.data() + start;
+            *p++ = kTagSparse;
+            *p++ = static_cast<uint8_t>(defects.size());
+            for (uint32_t d : defects) {
+                *p++ = static_cast<uint8_t>(d & 0xff);
+                if (wide)
+                    *p++ = static_cast<uint8_t>(d >> 8);
+            }
+            return;
+        }
+    } else if (codec == SyndromeCodec::RunLength) {
+        // Byte stream of zero-run lengths before each set bit; 255 is
+        // an escape meaning "255 zeros and no bit yet".
+        out.push_back(kTagRunLength);
+        uint32_t next = 0;  // Index the current zero run starts at.
+        for (uint32_t d : defects) {
+            uint32_t run = d - next;
+            for (; run >= 255; run -= 255)
+                out.push_back(255);
+            out.push_back(static_cast<uint8_t>(run));
+            next = d + 1;
+        }
+        if (out.size() - start < raw_size)
+            return;
+        out.resize(start);
     }
+    // Raw bitmap, and the lossless fallback: never ship more bytes
+    // than it takes.
+    out.resize(start + raw_size);
+    uint8_t *bitmap = out.data() + start;
+    bitmap[0] = kTagRaw;
+    for (uint32_t d : defects)
+        bitmap[1 + d / 8] |= static_cast<uint8_t>(1u << (d % 8));
 }
 
 bool
 tryDecodeSyndromeInto(const uint8_t *bytes, size_t len,
                       uint32_t num_bits, BitVec &out)
 {
-    if (len == 0)
+    // Every decoded list fits in num_bits entries.
+    thread_local std::vector<uint32_t> defects;
+    defects.resize(num_bits);
+    size_t count = 0;
+    if (!tryDecodeDefects(bytes, len, num_bits, defects, count))
         return false;
     out.resize(num_bits);
+    for (size_t i = 0; i < count; i++)
+        out.set(defects[i]);
+    return true;
+}
+
+bool
+tryDecodeDefects(const uint8_t *bytes, size_t len, uint32_t num_bits,
+                 std::span<uint32_t> out, size_t &count)
+{
+    count = 0;
+    auto emit = [&](uint32_t idx) {
+        if (count < out.size())
+            out[count] = idx;
+        count++;
+    };
+    if (len == 0)
+        return false;
     switch (bytes[0]) {
       case kTagRaw: {
-        if (len != 1 + (static_cast<size_t>(num_bits) + 7) / 8)
+        const size_t nbytes = (static_cast<size_t>(num_bits) + 7) / 8;
+        if (len != 1 + nbytes)
             return false;
-        for (uint32_t i = 0; i < num_bits; i++) {
-            if ((bytes[1 + i / 8] >> (i % 8)) & 1)
-                out.set(i);
-        }
         // Padding bits past num_bits in the last byte must be zero.
         if (num_bits % 8 != 0 &&
             (bytes[len - 1] >> (num_bits % 8)) != 0)
             return false;
+        for (size_t b = 0; b < nbytes; b++) {
+            for (unsigned v = bytes[1 + b]; v != 0; v &= v - 1)
+                emit(static_cast<uint32_t>(8 * b + std::countr_zero(v)));
+        }
         return true;
       }
       case kTagSparse: {
         if (len < 2)
             return false;
-        const bool wide = num_bits > 256;
-        const uint32_t count = bytes[1];
-        size_t pos = 2;
-        for (uint32_t k = 0; k < count; k++) {
-            if (pos + (wide ? 1 : 0) >= len)
-                return false;
-            uint32_t idx = bytes[pos++];
-            if (wide)
-                idx |= static_cast<uint32_t>(bytes[pos++]) << 8;
+        const size_t width = num_bits > 256 ? 2 : 1;
+        const size_t n = bytes[1];
+        if (len != 2 + n * width)
+            return false;
+        auto index = [&](size_t k) {
+            const uint8_t *p = bytes + 2 + k * width;
+            return width == 2 ? static_cast<uint32_t>(p[0] | (p[1] << 8))
+                              : static_cast<uint32_t>(p[0]);
+        };
+        size_t k = 0;
+        for (; k < n; k++) {
+            const uint32_t idx = index(k);
             if (idx >= num_bits)
                 return false;
-            out.set(idx);
+            if (k > 0 && idx <= index(k - 1))
+                break;
+            emit(idx);
         }
-        return pos == len;
+        if (k == n)
+            return true;
+        // Not strictly increasing (no encoder here writes that, but
+        // the wire may): sort and deduplicate, which yields the set
+        // the BitVec form decodes. Indices fit in 16 bits.
+        uint16_t sorted[255];
+        for (k = 0; k < n; k++) {
+            const uint32_t idx = index(k);
+            if (idx >= num_bits)
+                return false;
+            sorted[k] = static_cast<uint16_t>(idx);
+        }
+        std::sort(sorted, sorted + n);
+        count = 0;
+        for (k = 0; k < n; k++) {
+            if (k == 0 || sorted[k] != sorted[k - 1])
+                emit(sorted[k]);
+        }
+        return true;
       }
       case kTagRunLength: {
         uint64_t i = 0;
@@ -150,7 +199,7 @@ tryDecodeSyndromeInto(const uint8_t *bytes, size_t len,
                 continue;  // Escape: no bit after this run.
             if (i >= num_bits)
                 return false;
-            out.set(static_cast<size_t>(i));
+            emit(static_cast<uint32_t>(i));
             i++;
         }
         return true;
@@ -166,46 +215,10 @@ decodeSyndrome(const std::vector<uint8_t> &bytes, uint32_t num_bits)
     ASTREA_CHECK(!bytes.empty(), "empty syndrome buffer");
     ASTREA_CHECK(bytes[0] <= kTagRunLength,
                  "unknown syndrome codec tag");
-    BitVec out(num_bits);
-    switch (bytes[0]) {
-      case kTagRaw: {
-        for (uint32_t i = 0; i < num_bits; i++) {
-            size_t byte = 1 + i / 8;
-            ASTREA_CHECK(byte < bytes.size(), "raw buffer truncated");
-            if ((bytes[byte] >> (i % 8)) & 1)
-                out.set(i);
-        }
-        break;
-      }
-      case kTagSparse: {
-        ASTREA_CHECK(bytes.size() >= 2, "sparse buffer truncated");
-        const bool wide = num_bits > 256;
-        uint32_t count = bytes[1];
-        size_t pos = 2;
-        for (uint32_t k = 0; k < count; k++) {
-            ASTREA_CHECK(pos + (wide ? 1 : 0) < bytes.size(),
-                         "sparse buffer truncated");
-            uint32_t idx = bytes[pos++];
-            if (wide)
-                idx |= static_cast<uint32_t>(bytes[pos++]) << 8;
-            ASTREA_CHECK(idx < num_bits, "sparse index out of range");
-            out.set(idx);
-        }
-        break;
-      }
-      case kTagRunLength: {
-        uint32_t i = 0;
-        for (size_t pos = 1; pos < bytes.size(); pos++) {
-            i += bytes[pos];
-            if (bytes[pos] == 255)
-                continue;  // Escape: no bit after this run.
-            ASTREA_CHECK(i < num_bits, "run-length overflow");
-            out.set(i);
-            i++;
-        }
-        break;
-      }
-    }
+    BitVec out;
+    ASTREA_CHECK(tryDecodeSyndromeInto(bytes.data(), bytes.size(),
+                                       num_bits, out),
+                 "malformed syndrome buffer");
     return out;
 }
 

@@ -17,12 +17,19 @@
  * Both degrade gracefully on dense inputs by falling back to the raw
  * bitmap when it is smaller, so the encoded size never exceeds
  * ceil(n/8) + 1 bytes.
+ *
+ * Each codec has one implementation, over sorted defect lists (the
+ * indices of the set bits, as decoders consume them):
+ * appendEncodedDefects() and tryDecodeDefects(). The BitVec entry
+ * points are thin wrappers over them and produce the same bytes.
  */
 
 #ifndef ASTREA_COMPRESSION_SYNDROME_CODEC_HH
 #define ASTREA_COMPRESSION_SYNDROME_CODEC_HH
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/bitvec.hh"
@@ -47,13 +54,25 @@ std::vector<uint8_t> encodeSyndrome(const BitVec &syndrome,
                                     SyndromeCodec codec);
 
 /**
- * encodeSyndrome() into a caller-owned buffer (cleared first). The
- * wire hot path (net/fleet_protocol) reuses one buffer per connection
- * so steady-state encodes touch no allocator once the buffer has grown
+ * encodeSyndrome() into a caller-owned buffer (cleared first), so
+ * steady-state encodes touch no allocator once the buffer has grown
  * to its working size.
  */
 void encodeSyndromeInto(const BitVec &syndrome, SyndromeCodec codec,
                         std::vector<uint8_t> &out);
+
+/**
+ * Append the encoding of a num_bits-bit syndrome whose set bits are
+ * `defects` to `out`. The bytes equal encodeSyndrome() of the BitVec
+ * with those bits set. Indices must be below num_bits (checked); a
+ * list that is not strictly increasing is sorted and deduplicated
+ * first, which is the set such a BitVec would hold. The wire path
+ * (net::FleetClient) encodes straight into its send buffer, so a
+ * sorted list costs no allocation once `out` has grown.
+ */
+void appendEncodedDefects(std::span<const uint32_t> defects,
+                          uint32_t num_bits, SyndromeCodec codec,
+                          std::vector<uint8_t> &out);
 
 /**
  * Decode a syndrome produced by encodeSyndrome().
@@ -77,6 +96,19 @@ BitVec decodeSyndrome(const std::vector<uint8_t> &bytes,
  */
 bool tryDecodeSyndromeInto(const uint8_t *bytes, size_t len,
                            uint32_t num_bits, BitVec &out);
+
+/**
+ * Non-fatal decode of untrusted bytes into a defect list: the set
+ * bits' indices, sorted and without duplicates (a Sparse payload may
+ * list them in any order, or more than once). Returns false on the
+ * same malformed buffers tryDecodeSyndromeInto() rejects. On success
+ * `count` is the number of set bits and out[0, min(count, out.size()))
+ * holds the smallest of them, so a count above out.size() means the
+ * list did not fit. Touches no allocator.
+ */
+bool tryDecodeDefects(const uint8_t *bytes, size_t len,
+                      uint32_t num_bits, std::span<uint32_t> out,
+                      size_t &count);
 
 /** Compression statistics over a stream of syndromes. */
 struct CompressionStats

@@ -39,6 +39,12 @@ void
 SyndromeDriftMonitor::record(size_t hw)
 {
     std::lock_guard<std::mutex> lock(mu_);
+    recordLocked(hw);
+}
+
+void
+SyndromeDriftMonitor::recordLocked(size_t hw)
+{
     if (baselineCount_ < warmupShots_) {
         baseline_.add(hw);
         baselineCount_++;
@@ -200,9 +206,10 @@ DecodeServiceCore::DecodeServiceCore(const ServeConfig &config)
     if (config_.fleetEnabled) {
         fleet_ = std::make_unique<DecodeFleet>(config_.fleet, ctx_,
                                                factory_);
-        fleet_->setAccountHook(
-            [this](size_t hw, double latency_ns, bool gave_up) {
-                accountFleetShot(hw, latency_ns, gave_up);
+        fleet_->setFlushAccountHook(
+            [this](std::span<const FleetJob> jobs,
+                   std::span<const DecodeResult> results) {
+                accountFleetFlush(jobs, results);
             });
     }
 
@@ -406,24 +413,51 @@ DecodeServiceCore::decodeBatch(Worker &w, uint64_t shots)
 }
 
 void
+DecodeServiceCore::accountFleetFlush(std::span<const FleetJob> jobs,
+                                     std::span<const DecodeResult> results)
+{
+    const size_t n = jobs.size();
+    if (n == 0)
+        return;
+    telemetry::LatencyBuckets latency;
+    uint64_t nontrivial = 0, misses = 0, give_ups = 0;
+    for (size_t i = 0; i < n; i++) {
+        const DecodeResult &dr = results[i];
+        telemetry::RollingLatency::addSample(latency, dr.latencyNs);
+        nontrivial += jobs[i].hw > 0 ? 1 : 0;
+        misses += dr.latencyNs > config_.budgetNs ? 1 : 0;
+        give_ups += dr.gaveUp ? 1 : 0;
+    }
+
+    const uint64_t tick = tick_();
+    decodesTotal_.fetch_add(n, std::memory_order_relaxed);
+    decodesWin_.add(tick, n);
+    latencyWin_.merge(tick, latency);
+    drift_.recordEach(n, [jobs](size_t i) { return size_t{jobs[i].hw}; });
+    if (nontrivial > 0)
+        nontrivialTotal_.fetch_add(nontrivial, std::memory_order_relaxed);
+    if (misses > 0) {
+        deadlineMissesTotal_.fetch_add(misses, std::memory_order_relaxed);
+        missesWin_.add(tick, misses);
+    }
+    if (give_ups > 0) {
+        giveUpsTotal_.fetch_add(give_ups, std::memory_order_relaxed);
+        giveUpsWin_.add(tick, give_ups);
+    }
+}
+
+void
 DecodeServiceCore::accountFleetShot(size_t hw, double latency_ns,
                                     bool gave_up)
 {
-    const uint64_t tick = tick_();
-    decodesTotal_.fetch_add(1, std::memory_order_relaxed);
-    decodesWin_.add(tick);
-    latencyWin_.record(tick, latency_ns);
-    drift_.record(hw);
-    if (hw > 0)
-        nontrivialTotal_.fetch_add(1, std::memory_order_relaxed);
-    if (latency_ns > config_.budgetNs) {
-        deadlineMissesTotal_.fetch_add(1, std::memory_order_relaxed);
-        missesWin_.add(tick);
-    }
-    if (gave_up) {
-        giveUpsTotal_.fetch_add(1, std::memory_order_relaxed);
-        giveUpsWin_.add(tick);
-    }
+    // Weights past the drift histogram's range all land in its
+    // overflow bin, so clamping to the job's field loses nothing.
+    FleetJob job;
+    job.hw = static_cast<uint16_t>(std::min<size_t>(hw, UINT16_MAX));
+    DecodeResult dr;
+    dr.latencyNs = latency_ns;
+    dr.gaveUp = gave_up;
+    accountFleetFlush({&job, 1}, {&dr, 1});
 }
 
 uint64_t

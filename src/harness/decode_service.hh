@@ -37,6 +37,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -140,6 +141,20 @@ class SyndromeDriftMonitor
     /** Record one decode's syndrome Hamming weight. Thread-safe. */
     void record(size_t hw);
 
+    /**
+     * Record the weights hw_of(0), ..., hw_of(n - 1) in that order
+     * under one lock, so the buckets rotate at the same weights as n
+     * record() calls would rotate them. Thread-safe.
+     */
+    template <typename HwOf>
+    void
+    recordEach(size_t n, HwOf hw_of)
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        for (size_t i = 0; i < n; i++)
+            recordLocked(hw_of(i));
+    }
+
     bool baselineReady() const;
     /** Latest distance (recomputed once per completed ring bucket). */
     double chiSquare() const;
@@ -147,6 +162,7 @@ class SyndromeDriftMonitor
     double threshold() const { return threshold_; }
 
   private:
+    void recordLocked(size_t hw);
     void rotateLocked();
 
     const uint64_t warmupShots_;
@@ -224,11 +240,20 @@ class DecodeServiceCore
     const DecodeFleet *fleet() const { return fleet_.get(); }
 
     /**
-     * Account one fleet-ingested decode into the same totals, rolling
-     * SLO windows and drift monitor the synthetic workers feed (no
-     * logical-error accounting: wire shots carry no ground truth).
-     * Installed as the fleet's account hook; also callable directly.
+     * Account one fleet flush (jobs[i] decoded to results[i]) into the
+     * same totals, rolling SLO windows and drift monitor the synthetic
+     * workers feed (no logical-error accounting: wire shots carry no
+     * ground truth). Reads the sub-window tick once, adds each counter
+     * once, merges the flush's latencies into the rolling window as
+     * one histogram and records its Hamming weights in order under one
+     * drift-monitor lock, so every scrape reads what accounting the
+     * shots one at a time would give. Installed as the fleet's flush
+     * account hook; thread-safe.
      */
+    void accountFleetFlush(std::span<const FleetJob> jobs,
+                           std::span<const DecodeResult> results);
+
+    /** accountFleetFlush() of a one-shot flush. */
     void accountFleetShot(size_t hw, double latency_ns, bool gave_up);
 
   private:

@@ -73,10 +73,25 @@ DecodeFleet::setVerdictSink(
 }
 
 void
+DecodeFleet::setFlushAccountHook(FlushAccountHook hook)
+{
+    account_ = std::move(hook);
+}
+
+void
 DecodeFleet::setAccountHook(
     std::function<void(size_t, double, bool)> hook)
 {
-    account_ = std::move(hook);
+    if (!hook) {
+        account_ = nullptr;
+        return;
+    }
+    account_ = [hook = std::move(hook)](
+                   std::span<const FleetJob> jobs,
+                   std::span<const DecodeResult> results) {
+        for (size_t i = 0; i < jobs.size(); i++)
+            hook(jobs[i].hw, results[i].latencyNs, results[i].gaveUp);
+    };
 }
 
 void
@@ -115,37 +130,65 @@ DecodeFleet::requiredPriorityAtDepth(size_t depth) const
         std::ceil(frac * static_cast<double>(config_.maxPriority)));
 }
 
+size_t
+DecodeFleet::submitGroup(std::span<FleetJob> jobs, FleetSubmit *outcomes)
+{
+    const uint64_t now = now_();
+    // Shards the group enqueued into; shards past 63 share bit 63.
+    uint64_t touched = 0;
+    size_t enqueued = 0;
+    for (size_t i = 0; i < jobs.size(); i++) {
+        FleetJob &job = jobs[i];
+        job.ingestNs = now;
+        const unsigned shard = shardFor(job.streamId);
+        Shard &s = *shards_[shard];
+        FleetSubmit outcome = FleetSubmit::Enqueued;
+        if (job.priority < requiredPriorityAtDepth(s.ring.sizeApprox()))
+            outcome = FleetSubmit::Shed;
+        else if (!s.ring.tryPush(job))
+            outcome = FleetSubmit::RingFull;
+        if (outcomes != nullptr)
+            outcomes[i] = outcome;
+        if (outcome == FleetSubmit::Enqueued) {
+            // Counted right after its push, not at the group's end:
+            // the shard's worker may answer this job before the group
+            // ends, and a client holding the verdict may read the
+            // counters.
+            enqueuedTotal_.fetch_add(1, std::memory_order_relaxed);
+            enqueued++;
+            touched |= 1ull << std::min(shard, 63u);
+            continue;
+        }
+        if (outcome == FleetSubmit::RingFull)
+            ringFullTotal_.fetch_add(1, std::memory_order_relaxed);
+        shedTotal_.fetch_add(1, std::memory_order_relaxed);
+        if (sink_) {
+            FleetVerdict shed;
+            shed.streamId = job.streamId;
+            shed.seq = job.seq;
+            shed.connId = job.connId;
+            shed.shed = true;
+            sink_(shed);
+        }
+    }
+    if (enqueued == 0)
+        return 0;
+    // Pairs with the worker's fence between parking and re-checking
+    // the ring: either it sees these pushes or we see it parked.
+    std::atomic_thread_fence(std::memory_order_seq_cst);
+    for (unsigned i = 0; i < config_.shards; i++) {
+        if ((touched >> std::min(i, 63u)) & 1)
+            wakeIfParked(*shards_[i]);
+    }
+    return enqueued;
+}
+
 FleetSubmit
 DecodeFleet::submit(FleetJob &job)
 {
-    job.ingestNs = now_();
-    Shard &s = *shards_[shardFor(job.streamId)];
-
-    FleetVerdict shed;
-    shed.streamId = job.streamId;
-    shed.seq = job.seq;
-    shed.connId = job.connId;
-    shed.shed = true;
-
-    if (job.priority < requiredPriorityAtDepth(s.ring.sizeApprox())) {
-        shedTotal_.fetch_add(1, std::memory_order_relaxed);
-        if (sink_)
-            sink_(shed);
-        return FleetSubmit::Shed;
-    }
-    if (!s.ring.tryPush(job)) {
-        ringFullTotal_.fetch_add(1, std::memory_order_relaxed);
-        shedTotal_.fetch_add(1, std::memory_order_relaxed);
-        if (sink_)
-            sink_(shed);
-        return FleetSubmit::RingFull;
-    }
-    enqueuedTotal_.fetch_add(1, std::memory_order_relaxed);
-    // Pairs with the worker's fence between parking and re-checking
-    // the ring: either it sees this push or we see it parked.
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-    wakeIfParked(s);
-    return FleetSubmit::Enqueued;
+    FleetSubmit outcome = FleetSubmit::Enqueued;
+    submitGroup({&job, 1}, &outcome);
+    return outcome;
 }
 
 void
@@ -172,27 +215,27 @@ DecodeFleet::flushLocked(Shard &s, size_t n, uint64_t now_ns)
         s.batch.add({j.defects.data(), j.hw});
     }
     s.decoder->decodeBatch(s.batch, s.results, s.scratch);
-    // Count the flush before its verdicts leave: whoever holds a
-    // verdict may read the counters, and must find it counted.
+    // Count and account the flush before its verdicts leave: whoever
+    // holds a verdict may read the counters, and must find it counted.
     batchesTotal_.fetch_add(1, std::memory_order_relaxed);
     decodedTotal_.fetch_add(n, std::memory_order_relaxed);
+    if (account_)
+        account_({s.pendingJobs.data(), n}, {s.results.data(), n});
+    if (!sink_)
+        return;
 
     for (size_t i = 0; i < n; i++) {
         const FleetJob &j = s.pendingJobs[i];
         const DecodeResult &dr = s.results[i];
-        if (account_)
-            account_(j.hw, dr.latencyNs, dr.gaveUp);
-        if (sink_) {
-            FleetVerdict v;
-            v.streamId = j.streamId;
-            v.seq = j.seq;
-            v.connId = j.connId;
-            v.obsMask = dr.obsMask;
-            v.gaveUp = dr.gaveUp;
-            v.latencyNs = now_ns > j.ingestNs ? now_ns - j.ingestNs : 0;
-            v.more = i + 1 < n;
-            sink_(v);
-        }
+        FleetVerdict v;
+        v.streamId = j.streamId;
+        v.seq = j.seq;
+        v.connId = j.connId;
+        v.obsMask = dr.obsMask;
+        v.gaveUp = dr.gaveUp;
+        v.latencyNs = now_ns > j.ingestNs ? now_ns - j.ingestNs : 0;
+        v.more = i + 1 < n;
+        sink_(v);
     }
 }
 
@@ -226,7 +269,7 @@ DecodeFleet::workerLoop(unsigned shard)
             continue;
         // Park: announce it, fence, then re-check the ring and
         // running_ so a push or stop() between the empty pump and the
-        // wait cannot be missed (see submit() and stop()).
+        // wait cannot be missed (see submitGroup() and stop()).
         s.parked.store(1, std::memory_order_relaxed);
         std::atomic_thread_fence(std::memory_order_seq_cst);
         if (s.ring.sizeApprox() == 0 &&

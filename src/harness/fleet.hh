@@ -5,8 +5,9 @@
  * The fleet turns the decode service from one synthetic workload into
  * a front-end for thousands of per-logical-qubit syndrome streams:
  *
- *   TCP readers (net/fleet_server) --submit()--> shard MPSC rings
- *        --> shard worker: coalesce -> Decoder::decodeBatch -> verdicts
+ *   TCP readers (net/fleet_server) --submitGroup()--> shard MPSC rings
+ *        --> shard worker: coalesce -> Decoder::decodeBatch
+ *        --> one account call per flush -> verdicts
  *
  * Each stream id is hashed onto one of N shards, so a stream's shots
  * decode in order on one worker while shards run independently. A
@@ -16,9 +17,15 @@
  * a worker flushes whatever it popped as soon as the ring is drained,
  * capped at maxBatch shots, so batches fill under load and a lone shot
  * never waits for company. An idle worker parks on a futex (C++20
- * atomic wait) and submit() wakes it.
+ * atomic wait) and submitGroup() wakes it.
  *
- * Backpressure is priority-aware load shedding at submit(): between
+ * The per-shot costs around the decode are paid once per group: a
+ * reader hands each recv()'s frames over as groups of up to maxBatch
+ * jobs (submitGroup: one clock read, one fence, at most one wake per
+ * shard), and a worker accounts each flush with one hook call before
+ * any of its verdicts leave.
+ *
+ * Backpressure is priority-aware load shedding at submit time: between
  * the low and high queue-depth watermarks the minimum admitted
  * priority ramps linearly from 0 to maxPriority, so the lowest-
  * priority streams shed first; past the high watermark only top-
@@ -28,8 +35,8 @@
  *
  * The class is deliberately thread-optional and clock-injectable:
  * start() launches one worker thread per shard, but tests (and the
- * alloc assertions) drive submit() + pumpShard() synchronously with a
- * fake clock and get deterministic coalescing/shedding. The
+ * alloc assertions) drive submitGroup() + pumpShard() synchronously
+ * with a fake clock and get deterministic coalescing/shedding. The
  * submit -> pump -> verdict path performs zero steady-state heap
  * allocations (tests/alloc_test.cc).
  */
@@ -42,6 +49,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -80,7 +88,7 @@ struct FleetJob
     uint32_t connId = 0;
     uint8_t priority = 0;
     uint16_t hw = 0;  ///< Valid entries in defects.
-    uint64_t ingestNs = 0;  ///< Stamped by submit().
+    uint64_t ingestNs = 0;  ///< Stamped by submitGroup().
     std::array<uint32_t, kFleetMaxDefects> defects{};
 };
 
@@ -103,7 +111,8 @@ struct FleetVerdict
     bool more = false;
 };
 
-/** submit() outcome (Shed and RingFull both emit a shed verdict). */
+/** A job's admission outcome (Shed and RingFull both emit a shed
+ *  verdict). */
 enum class FleetSubmit
 {
     Enqueued,
@@ -123,12 +132,23 @@ class DecodeFleet
     DecodeFleet(const DecodeFleet &) = delete;
     DecodeFleet &operator=(const DecodeFleet &) = delete;
 
-    /** Verdicts (decoded and shed) are pushed here; set before any
-     *  submit(). Called from shard workers and, for shed shots, from
-     *  the submitting thread — the sink must be thread-safe. */
+    /** Verdicts (decoded and shed) are pushed here; set before the
+     *  first submission. Called from shard workers and, for shed shots,
+     *  from the submitting thread — the sink must be thread-safe. */
     void setVerdictSink(std::function<void(const FleetVerdict &)> sink);
 
-    /** Per-decoded-shot accounting hook (SLO windows); optional. */
+    /** Called once per flush with its jobs and their results, before
+     *  any of its verdicts reach the sink. */
+    using FlushAccountHook =
+        std::function<void(std::span<const FleetJob> jobs,
+                           std::span<const DecodeResult> results)>;
+
+    /** Per-flush accounting hook (SLO windows); optional. Set before
+     *  start(). */
+    void setFlushAccountHook(FlushAccountHook hook);
+
+    /** Per-shot form of setFlushAccountHook: `hook` runs for each shot
+     *  of a flush, in order. */
     void setAccountHook(
         std::function<void(size_t hw, double latency_ns, bool gave_up)>
             hook);
@@ -140,10 +160,17 @@ class DecodeFleet
     unsigned shardFor(uint32_t stream_id) const;
 
     /**
-     * Admit one shot: stamps the ingest time, applies the shedding
-     * ramp against the target shard's queue depth, and either
-     * enqueues or emits an immediate shed verdict. Thread-safe.
+     * Admit a group of shots, in order: stamps each with one ingest
+     * time, applies the shedding ramp against its shard's queue depth,
+     * and either enqueues it or emits an immediate shed verdict. Then
+     * one fence and at most one wake per shard the group enqueued
+     * into. If `outcomes` is non-null, outcomes[i] receives job i's
+     * outcome. Returns the number enqueued. Thread-safe.
      */
+    size_t submitGroup(std::span<FleetJob> jobs,
+                       FleetSubmit *outcomes = nullptr);
+
+    /** submitGroup() of one shot. */
     FleetSubmit submit(FleetJob &job);
 
     /**
@@ -161,7 +188,7 @@ class DecodeFleet
     void start();
     void stop();
 
-    /** Whether shard's worker is parked waiting for a submit. */
+    /** Whether shard's worker is parked waiting for a submission. */
     bool workerParked(unsigned shard) const;
 
     /** Minimum admitted priority at queue depth `depth` (exposed for
@@ -175,7 +202,7 @@ class DecodeFleet
     // Ingest-side counters, bumped by the TCP front-end so every
     // fleet family renders from one place.
     void noteConnectionOpened() { connectionsTotal_.fetch_add(1, std::memory_order_relaxed); }
-    void noteFrame() { framesTotal_.fetch_add(1, std::memory_order_relaxed); }
+    void noteFrames(uint64_t n) { framesTotal_.fetch_add(n, std::memory_order_relaxed); }
     void noteMalformed() { malformedTotal_.fetch_add(1, std::memory_order_relaxed); }
 
     uint64_t enqueuedTotal() const { return enqueuedTotal_.load(std::memory_order_relaxed); }
@@ -209,7 +236,7 @@ class DecodeFleet
     std::atomic<bool> running_{false};
 
     std::function<void(const FleetVerdict &)> sink_;
-    std::function<void(size_t, double, bool)> account_;
+    FlushAccountHook account_;
     std::function<uint64_t()> now_;
 
     std::atomic<uint64_t> connectionsTotal_{0};

@@ -121,12 +121,8 @@ FleetClient::sendShot(uint32_t stream_id, uint32_t seq,
 {
     if (fd_ < 0)
         return false;
-    syndrome_.resize(numDetectorBits_);
-    for (uint32_t idx : defects)
-        syndrome_.set(idx);
-    encodeSyndromeInto(syndrome_, codec, codecBuf_);
-    appendFleetSyndrome(sendBuf_, stream_id, seq, priority,
-                        codecBuf_.data(), codecBuf_.size());
+    appendFleetSyndrome(sendBuf_, stream_id, seq, priority, defects,
+                        numDetectorBits_, codec);
     if (sendBuf_.size() >= kFlushThreshold)
         return flush();
     return true;

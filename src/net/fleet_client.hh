@@ -18,7 +18,6 @@
 #include <string>
 #include <vector>
 
-#include "common/bitvec.hh"
 #include "compression/syndrome_codec.hh"
 #include "net/fleet_protocol.hh"
 
@@ -61,9 +60,10 @@ class FleetClient
 
     /**
      * Stage one shot (defect indices, strictly increasing) into the
-     * send buffer as a Syndrome frame; actually written on flush() or
-     * when the buffer passes ~32 KiB. Returns false on a lost
-     * connection. Buffers are reused — steady state never allocates.
+     * send buffer as a Syndrome frame, encoded straight from the list;
+     * actually written on flush() or when the buffer passes ~32 KiB.
+     * Returns false on a lost connection. The send buffer is reused,
+     * so steady state never allocates.
      */
     bool sendShot(uint32_t stream_id, uint32_t seq, uint8_t priority,
                   std::span<const uint32_t> defects,
@@ -79,8 +79,6 @@ class FleetClient
     int fd_ = -1;
     uint32_t numDetectorBits_ = 0;
 
-    BitVec syndrome_;
-    std::vector<uint8_t> codecBuf_;
     std::vector<uint8_t> sendBuf_;
     FleetFrameBuffer recvFrames_;
 };

@@ -1,5 +1,7 @@
 #include "net/fleet_protocol.hh"
 
+#include <algorithm>
+
 namespace astrea
 {
 namespace net
@@ -9,24 +11,24 @@ namespace
 {
 
 inline void
-put16(std::vector<uint8_t> &out, uint16_t v)
+put16(uint8_t *p, uint16_t v)
 {
-    out.push_back(static_cast<uint8_t>(v & 0xff));
-    out.push_back(static_cast<uint8_t>(v >> 8));
+    p[0] = static_cast<uint8_t>(v & 0xff);
+    p[1] = static_cast<uint8_t>(v >> 8);
 }
 
 inline void
-put32(std::vector<uint8_t> &out, uint32_t v)
+put32(uint8_t *p, uint32_t v)
 {
     for (int i = 0; i < 4; i++)
-        out.push_back(static_cast<uint8_t>((v >> (8 * i)) & 0xff));
+        p[i] = static_cast<uint8_t>((v >> (8 * i)) & 0xff);
 }
 
 inline void
-put64(std::vector<uint8_t> &out, uint64_t v)
+put64(uint8_t *p, uint64_t v)
 {
     for (int i = 0; i < 8; i++)
-        out.push_back(static_cast<uint8_t>((v >> (8 * i)) & 0xff));
+        p[i] = static_cast<uint8_t>((v >> (8 * i)) & 0xff);
 }
 
 inline uint16_t
@@ -42,6 +44,28 @@ get32(const uint8_t *p)
            (static_cast<uint32_t>(p[1]) << 8) |
            (static_cast<uint32_t>(p[2]) << 16) |
            (static_cast<uint32_t>(p[3]) << 24);
+}
+
+/** Write a header with the given fields to dst[0, kFleetHeaderBytes). */
+void
+writeFleetHeader(uint8_t *dst, FleetFrameType type, uint32_t stream_id,
+                 uint32_t seq, uint16_t payload_len)
+{
+    put16(dst, kFleetMagic);
+    dst[2] = kFleetVersion;
+    dst[3] = static_cast<uint8_t>(type);
+    put32(dst + 4, stream_id);
+    put32(dst + 8, seq);
+    put16(dst + 12, payload_len);
+}
+
+/** Grow out by n bytes and return the first new one. */
+inline uint8_t *
+grow(std::vector<uint8_t> &out, size_t n)
+{
+    const size_t at = out.size();
+    out.resize(at + n);
+    return out.data() + at;
 }
 
 } // namespace
@@ -71,23 +95,11 @@ parseFleetHeader(const uint8_t *buf, size_t len, FleetFrameHeader &out)
 }
 
 void
-appendFleetHeader(std::vector<uint8_t> &out, FleetFrameType type,
-                  uint32_t stream_id, uint32_t seq,
-                  uint16_t payload_len)
-{
-    put16(out, kFleetMagic);
-    out.push_back(kFleetVersion);
-    out.push_back(static_cast<uint8_t>(type));
-    put32(out, stream_id);
-    put32(out, seq);
-    put16(out, payload_len);
-}
-
-void
 appendFleetHello(std::vector<uint8_t> &out, uint32_t num_detector_bits)
 {
-    appendFleetHeader(out, FleetFrameType::Hello, 0, 0, 4);
-    put32(out, num_detector_bits);
+    uint8_t *p = grow(out, kFleetHeaderBytes + 4);
+    writeFleetHeader(p, FleetFrameType::Hello, 0, 0, 4);
+    put32(p + kFleetHeaderBytes, num_detector_bits);
 }
 
 void
@@ -95,20 +107,41 @@ appendFleetSyndrome(std::vector<uint8_t> &out, uint32_t stream_id,
                     uint32_t seq, uint8_t priority,
                     const uint8_t *codec_bytes, size_t codec_len)
 {
-    appendFleetHeader(out, FleetFrameType::Syndrome, stream_id, seq,
-                      static_cast<uint16_t>(1 + codec_len));
-    out.push_back(priority);
-    out.insert(out.end(), codec_bytes, codec_bytes + codec_len);
+    uint8_t *p = grow(out, kFleetHeaderBytes + 1 + codec_len);
+    writeFleetHeader(p, FleetFrameType::Syndrome, stream_id, seq,
+                     static_cast<uint16_t>(1 + codec_len));
+    p[kFleetHeaderBytes] = priority;
+    std::copy(codec_bytes, codec_bytes + codec_len,
+              p + kFleetHeaderBytes + 1);
+}
+
+void
+appendFleetSyndrome(std::vector<uint8_t> &out, uint32_t stream_id,
+                    uint32_t seq, uint8_t priority,
+                    std::span<const uint32_t> defects, uint32_t num_bits,
+                    SyndromeCodec codec)
+{
+    // Header and priority first, then the codec appends its bytes; the
+    // payload length is known only once they are in.
+    const size_t at = out.size();
+    grow(out, kFleetHeaderBytes + 1);
+    appendEncodedDefects(defects, num_bits, codec, out);
+    uint8_t *p = out.data() + at;
+    writeFleetHeader(p, FleetFrameType::Syndrome, stream_id, seq,
+                     static_cast<uint16_t>(out.size() - at -
+                                           kFleetHeaderBytes));
+    p[kFleetHeaderBytes] = priority;
 }
 
 void
 appendFleetVerdict(std::vector<uint8_t> &out, uint32_t stream_id,
                    uint32_t seq, uint64_t obs_mask, uint8_t flags)
 {
-    appendFleetHeader(out, FleetFrameType::Verdict, stream_id, seq,
-                      kFleetVerdictBytes - kFleetHeaderBytes);
-    put64(out, obs_mask);
-    out.push_back(flags);
+    uint8_t *p = grow(out, kFleetVerdictBytes);
+    writeFleetHeader(p, FleetFrameType::Verdict, stream_id, seq,
+                     kFleetVerdictBytes - kFleetHeaderBytes);
+    put64(p + kFleetHeaderBytes, obs_mask);
+    p[kFleetHeaderBytes + 8] = flags;
 }
 
 } // namespace net

@@ -26,7 +26,11 @@
  * Parsing is incremental (NeedMore / Ok / Malformed) so a reader can
  * feed whatever recv() returned; FleetFrameBuffer wraps the
  * accumulate-and-extract loop with a reusable buffer so steady-state
- * ingest touches no allocator.
+ * ingest touches no allocator. Frames are written in place: the
+ * append functions grow the caller's buffer once per frame and store
+ * the header and payload into it, and a Syndrome frame can be built
+ * straight from a defect list with the codec writing its bytes into
+ * the frame.
  */
 
 #ifndef ASTREA_NET_FLEET_PROTOCOL_HH
@@ -34,7 +38,10 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
+
+#include "compression/syndrome_codec.hh"
 
 namespace astrea
 {
@@ -88,11 +95,6 @@ enum class FleetParse
 FleetParse parseFleetHeader(const uint8_t *buf, size_t len,
                             FleetFrameHeader &out);
 
-/** Append a header with the given fields to out. */
-void appendFleetHeader(std::vector<uint8_t> &out, FleetFrameType type,
-                       uint32_t stream_id, uint32_t seq,
-                       uint16_t payload_len);
-
 /** Append a complete Hello frame. */
 void appendFleetHello(std::vector<uint8_t> &out,
                       uint32_t num_detector_bits);
@@ -101,6 +103,17 @@ void appendFleetHello(std::vector<uint8_t> &out,
 void appendFleetSyndrome(std::vector<uint8_t> &out, uint32_t stream_id,
                          uint32_t seq, uint8_t priority,
                          const uint8_t *codec_bytes, size_t codec_len);
+
+/**
+ * Append a complete Syndrome frame for the num_bits-bit syndrome whose
+ * set bits are `defects`, encoded with `codec` directly into the
+ * frame (appendEncodedDefects' rules). The bytes equal the pre-encoded
+ * overload's on the codec's encoding of the same syndrome.
+ */
+void appendFleetSyndrome(std::vector<uint8_t> &out, uint32_t stream_id,
+                         uint32_t seq, uint8_t priority,
+                         std::span<const uint32_t> defects,
+                         uint32_t num_bits, SyndromeCodec codec);
 
 /** Append a complete Verdict frame. */
 void appendFleetVerdict(std::vector<uint8_t> &out, uint32_t stream_id,

@@ -11,7 +11,6 @@
 #include <cstdint>
 #include <cstring>
 
-#include "common/bitvec.hh"
 #include "compression/syndrome_codec.hh"
 
 namespace astrea
@@ -66,10 +65,10 @@ struct FleetServer::Conn
             ::close(fd);
     }
 
-    // Reader-thread-owned decode state.
+    // Reader-thread-owned ingest state: the frame accumulator and the
+    // jobs parsed but not yet handed to the fleet (maxBatch of them).
     FleetFrameBuffer frames;
-    BitVec syndrome;
-    std::vector<uint32_t> defects;
+    std::vector<FleetJob> group;
 
     // Serializes sends from shard workers and writeNow(), so frames
     // never interleave; writeBuf is writeNow()'s buffer.
@@ -205,6 +204,7 @@ FleetServer::acceptLoop()
 
         auto conn = std::make_shared<Conn>();
         conn->fd = fd;
+        conn->group.resize(fleet_.config().maxBatch);
         {
             std::lock_guard<std::mutex> lock(connsMu_);
             conn->id = static_cast<uint32_t>(conns_.size());
@@ -228,6 +228,8 @@ void
 FleetServer::readerLoop(std::shared_ptr<Conn> conn)
 {
     const uint8_t max_priority = fleet_.config().maxPriority;
+    const uint32_t bits = fleet_.numDetectorBits();
+    std::vector<FleetJob> &group = conn->group;
     uint8_t buf[8192];
     bool malformed = false;
 
@@ -242,6 +244,19 @@ FleetServer::readerLoop(std::shared_ptr<Conn> conn)
         }
         conn->frames.append(buf, static_cast<size_t>(n));
 
+        // Frames parsed and jobs queued since the last hand-off; each
+        // hand-off counts the frames before their verdicts can leave.
+        uint64_t frames = 0;
+        size_t queued = 0;
+        auto hand_off = [&] {
+            if (frames > 0)
+                fleet_.noteFrames(frames);
+            if (queued > 0)
+                fleet_.submitGroup({group.data(), queued});
+            frames = 0;
+            queued = 0;
+        };
+
         FleetFrameHeader h;
         const uint8_t *payload = nullptr;
         for (;;) {
@@ -253,7 +268,7 @@ FleetServer::readerLoop(std::shared_ptr<Conn> conn)
                 malformed = true;
                 break;
             }
-            fleet_.noteFrame();
+            frames++;
             // Only clients send Syndrome frames; anything else on an
             // ingest connection is a protocol violation.
             if (h.type != FleetFrameType::Syndrome ||
@@ -262,24 +277,19 @@ FleetServer::readerLoop(std::shared_ptr<Conn> conn)
                 malformed = true;
                 break;
             }
-            if (!tryDecodeSyndromeInto(payload + 1, h.payloadLen - 1,
-                                       fleet_.numDetectorBits(),
-                                       conn->syndrome)) {
+            FleetJob &job = group[queued];
+            size_t hw = 0;
+            if (!tryDecodeDefects(payload + 1, h.payloadLen - 1u, bits,
+                                  job.defects, hw)) {
                 fleet_.noteMalformed();
                 malformed = true;
                 break;
             }
-            conn->syndrome.onesIndicesInto(conn->defects);
-
-            FleetJob job;
-            job.streamId = h.streamId;
-            job.seq = h.seq;
-            job.connId = conn->id;
-            job.priority =
-                std::min<uint8_t>(payload[0], max_priority);
-            if (conn->defects.size() > kFleetMaxDefects) {
+            if (hw > kFleetMaxDefects) {
                 // Beyond the inline cap (decoders give up long before
-                // HW 64): answer with an error verdict, keep going.
+                // HW 64): answer with an error verdict, after the
+                // shots before it, and keep going.
+                hand_off();
                 FleetVerdict v;
                 v.streamId = h.streamId;
                 v.seq = h.seq;
@@ -289,11 +299,16 @@ FleetServer::readerLoop(std::shared_ptr<Conn> conn)
                 writeNow(v);
                 continue;
             }
-            job.hw = static_cast<uint16_t>(conn->defects.size());
-            for (size_t i = 0; i < conn->defects.size(); i++)
-                job.defects[i] = conn->defects[i];
-            fleet_.submit(job);
+            job.streamId = h.streamId;
+            job.seq = h.seq;
+            job.connId = conn->id;
+            job.priority = std::min<uint8_t>(payload[0], max_priority);
+            job.hw = static_cast<uint16_t>(hw);
+            if (++queued == group.size())
+                hand_off();
         }
+        // What this recv() brought goes to the fleet now.
+        hand_off();
     }
 
     // Shut down but leave the fd open until the Conn is destroyed:

@@ -5,7 +5,10 @@
  * Accepts connections on the fleet port, sends a Hello frame carrying
  * the workload's detector-bit count, then reads Syndrome frames
  * (net/fleet_protocol.hh) off each connection, decodes their codec
- * payload into defect lists and submits them to the DecodeFleet.
+ * payload straight into the jobs' defect lists and submits them to the
+ * DecodeFleet: the frames of one recv() go over in groups of up to
+ * maxBatch jobs, one submitGroup() call each, and none waits for the
+ * next recv().
  * Verdict frames are written back on the connection the shot arrived
  * on (streams are logical: one connection multiplexes any number of
  * stream ids, so a thousand streams do not need a thousand sockets —
@@ -16,8 +19,8 @@
  * A malformed frame (bad magic/version/type, oversized payload,
  * undecodable codec bytes) closes that connection cleanly after
  * counting it; other connections are unaffected. Per-connection state
- * (frame buffer, decode BitVec, defect scratch, write buffer) is
- * reused, so steady-state ingest performs no heap allocations.
+ * (frame buffer, one maxBatch job group, write buffer) is reused, so
+ * steady-state ingest performs no heap allocations.
  */
 
 #ifndef ASTREA_NET_FLEET_SERVER_HH

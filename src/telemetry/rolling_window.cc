@@ -31,6 +31,15 @@ tickInWindow(uint64_t slot_tick, uint64_t tick, size_t k)
     return slot_tick <= tick && slot_tick + k > tick;
 }
 
+/** A latency sample as the histograms keep it: whole ns, >= 0. */
+uint64_t
+sampleNs(double ns)
+{
+    if (ns < 0.0 || !std::isfinite(ns))
+        ns = 0.0;
+    return static_cast<uint64_t>(std::llround(ns));
+}
+
 } // namespace
 
 RollingCounter::RollingCounter(size_t slots)
@@ -88,13 +97,9 @@ RollingLatency::inWindow(uint64_t slot_tick, uint64_t tick, size_t k)
     return tickInWindow(slot_tick, tick, k);
 }
 
-void
-RollingLatency::record(uint64_t tick, double ns)
+RollingLatency::Slot &
+RollingLatency::slotFor(uint64_t tick)
 {
-    if (ns < 0.0 || !std::isfinite(ns))
-        ns = 0.0;
-    uint64_t t = static_cast<uint64_t>(std::llround(ns));
-
     Slot &s = slots_[tick % slots_.size()];
     uint64_t cur = s.tick.load(std::memory_order_acquire);
     if (cur != tick && cur != kRecycleTick) {
@@ -112,21 +117,60 @@ RollingLatency::record(uint64_t tick, double ns)
             s.tick.store(tick, std::memory_order_release);
         }
     }
+    return s;
+}
+
+void
+RollingLatency::widen(Slot &s, uint64_t min_ns, uint64_t max_ns)
+{
+    uint64_t cur_min = s.minNs.load(std::memory_order_relaxed);
+    while (min_ns < cur_min &&
+           !s.minNs.compare_exchange_weak(cur_min, min_ns,
+                                          std::memory_order_relaxed)) {
+    }
+    uint64_t cur_max = s.maxNs.load(std::memory_order_relaxed);
+    while (max_ns > cur_max &&
+           !s.maxNs.compare_exchange_weak(cur_max, max_ns,
+                                          std::memory_order_relaxed)) {
+    }
+}
+
+void
+RollingLatency::record(uint64_t tick, double ns)
+{
+    const uint64_t t = sampleNs(ns);
+    Slot &s = slotFor(tick);
     s.bins[latencyBucketIndex(t)].fetch_add(1,
                                             std::memory_order_relaxed);
     s.count.fetch_add(1, std::memory_order_relaxed);
     s.sumNs.fetch_add(t, std::memory_order_relaxed);
+    widen(s, t, t);
+}
 
-    uint64_t cur_min = s.minNs.load(std::memory_order_relaxed);
-    while (t < cur_min &&
-           !s.minNs.compare_exchange_weak(cur_min, t,
-                                          std::memory_order_relaxed)) {
+void
+RollingLatency::addSample(LatencyBuckets &b, double ns)
+{
+    const uint64_t t = sampleNs(ns);
+    b.bins[latencyBucketIndex(t)]++;
+    b.minNs = b.count == 0 ? t : std::min(b.minNs, t);
+    b.maxNs = std::max(b.maxNs, t);
+    b.count++;
+    b.sumNs += t;
+}
+
+void
+RollingLatency::merge(uint64_t tick, const LatencyBuckets &b)
+{
+    if (b.count == 0)
+        return;
+    Slot &s = slotFor(tick);
+    for (size_t i = 0; i < kLatencyBuckets; i++) {
+        if (b.bins[i] != 0)
+            s.bins[i].fetch_add(b.bins[i], std::memory_order_relaxed);
     }
-    uint64_t cur_max = s.maxNs.load(std::memory_order_relaxed);
-    while (t > cur_max &&
-           !s.maxNs.compare_exchange_weak(cur_max, t,
-                                          std::memory_order_relaxed)) {
-    }
+    s.count.fetch_add(b.count, std::memory_order_relaxed);
+    s.sumNs.fetch_add(b.sumNs, std::memory_order_relaxed);
+    widen(s, b.minNs, b.maxNs);
 }
 
 LatencyBuckets

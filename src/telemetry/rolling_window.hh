@@ -83,6 +83,21 @@ class RollingLatency
 
     void record(uint64_t tick, double ns);
 
+    /**
+     * Add one sample to a caller-built LatencyBuckets, rounded the way
+     * record() rounds it. A writer that has many samples for one
+     * sub-window collects them this way and publishes them with
+     * merge().
+     */
+    static void addSample(LatencyBuckets &b, double ns);
+
+    /**
+     * Record every sample of `b` in the sub-window `tick`: one atomic
+     * add per non-empty bin and one min and one max update, leaving
+     * the slot as record() of each sample would.
+     */
+    void merge(uint64_t tick, const LatencyBuckets &b);
+
     /** Samples in the last `last_k` sub-windows (0 = whole ring). */
     uint64_t count(uint64_t tick, size_t last_k = 0) const;
 
@@ -110,6 +125,11 @@ class RollingLatency
 
     /** True if the slot's tick lies in (tick - k, tick]. */
     static bool inWindow(uint64_t slot_tick, uint64_t tick, size_t k);
+
+    /** Sub-window tick's slot, recycled if it held an older tick. */
+    Slot &slotFor(uint64_t tick);
+    /** Lower the slot's min to min_ns and raise its max to max_ns. */
+    static void widen(Slot &s, uint64_t min_ns, uint64_t max_ns);
 
     std::vector<Slot> slots_;
 };

@@ -10,8 +10,9 @@
  * allocations for the hardware decoders named in the issue: astrea,
  * astrea-g, greedy and lut. The same bar holds with per-decode tail
  * tracing armed and every trace retained, for the audit queue's
- * producer side, and for the fleet's ingest -> decode -> account ->
- * verdict-send path as the decode service composes it.
+ * producer side, for the fleet's ingest -> decode -> account ->
+ * verdict-send path as the decode service composes it, and for the
+ * fleet client's frame encoding.
  */
 
 #include <gtest/gtest.h>
@@ -21,6 +22,7 @@
 #include <vector>
 
 #include <atomic>
+#include <chrono>
 #include <thread>
 
 #include "audit/auditor.hh"
@@ -312,9 +314,10 @@ TEST(AllocCounter, ThreadPoolRawEnqueueIsAllocationFree)
 TEST(AllocCounter, FleetIngestToDecodePathIsAllocationFree)
 {
     // The full wire-to-verdict hot path, driven synchronously the way
-    // a reader thread + shard worker would: accumulate frame bytes,
-    // parse, decode the codec payload, build a job, submit through
-    // the shedding ramp, pump the shard through decodeBatch. After
+    // a reader thread + shard worker would: accumulate one recv()'s
+    // frame bytes, parse them, decode each codec payload straight into
+    // a job of the connection's group, submit the group through the
+    // shedding ramp, pump the shard through decodeBatch. After
     // warm-up, none of it may touch the allocator.
     ExperimentConfig ecfg;
     ecfg.distance = 5;
@@ -332,62 +335,62 @@ TEST(AllocCounter, FleetIngestToDecodePathIsAllocationFree)
     fleet.setVerdictSink(
         [&verdicts](const FleetVerdict &) { verdicts++; });
 
-    // Pre-encode wire frames for sampled syndromes (client side; the
-    // measured region is the server side).
+    // Pre-encode wire bytes for sampled syndromes, 16 frames per
+    // simulated recv() (client side; the measured region is the
+    // server side).
     const uint32_t bits = fleet.numDetectorBits();
     Rng rng(31);
     BitVec dets, obs;
-    std::vector<std::vector<uint8_t>> wire_frames;
-    std::vector<uint8_t> codec_buf;
+    std::vector<std::vector<uint8_t>> recvs(1);
+    size_t frames_total = 0;
     size_t guard = 0;
     uint32_t seq = 0;
-    while (wire_frames.size() < 128 && ++guard < 2000000) {
+    while (frames_total < 128 && ++guard < 2000000) {
         ctx->sampler().sample(rng, dets, obs);
         const size_t hw = dets.popcount();
         if (hw < 1 || hw > 10)
             continue;
-        codec_buf.clear();
-        encodeSyndromeInto(dets, SyndromeCodec::Sparse, codec_buf);
-        std::vector<uint8_t> frame;
-        net::appendFleetSyndrome(frame, seq % 16, seq, 7,
-                                 codec_buf.data(), codec_buf.size());
-        wire_frames.push_back(std::move(frame));
+        if (frames_total > 0 && frames_total % 16 == 0)
+            recvs.emplace_back();
+        net::appendFleetSyndrome(recvs.back(), seq % 16, seq, 7,
+                                 dets.onesIndices(), bits,
+                                 SyndromeCodec::Sparse);
+        frames_total++;
         seq++;
     }
-    ASSERT_GE(wire_frames.size(), 64u);
+    ASSERT_EQ(frames_total, 128u);
 
     // Reused server-side state, exactly like net::FleetServer's
     // per-connection buffers.
     net::FleetFrameBuffer frames;
-    BitVec syndrome;
-    std::vector<uint32_t> defects;
-    defects.reserve(kFleetMaxDefects);
+    std::vector<FleetJob> group(fc.maxBatch);
 
     auto ingest_all = [&] {
-        for (const auto &f : wire_frames) {
+        for (const auto &bytes : recvs) {
             fake_now++;
-            frames.append(f.data(), f.size());
+            frames.append(bytes.data(), bytes.size());
             net::FleetFrameHeader h;
             const uint8_t *payload = nullptr;
-            ASSERT_EQ(frames.next(h, payload), net::FleetParse::Ok);
-            ASSERT_TRUE(tryDecodeSyndromeInto(
-                payload + 1, h.payloadLen - 1u, bits, syndrome));
-            syndrome.onesIndicesInto(defects);
-            FleetJob job;
-            job.streamId = h.streamId;
-            job.seq = h.seq;
-            job.priority = payload[0];
-            job.hw = static_cast<uint16_t>(defects.size());
-            for (size_t i = 0; i < defects.size(); i++)
-                job.defects[i] = defects[i];
-            ASSERT_EQ(fleet.submit(job), FleetSubmit::Enqueued);
+            size_t queued = 0;
+            while (frames.next(h, payload) == net::FleetParse::Ok) {
+                FleetJob &job = group[queued++];
+                size_t hw = 0;
+                ASSERT_TRUE(tryDecodeDefects(payload + 1,
+                                             h.payloadLen - 1u, bits,
+                                             job.defects, hw));
+                job.streamId = h.streamId;
+                job.seq = h.seq;
+                job.priority = payload[0];
+                job.hw = static_cast<uint16_t>(hw);
+            }
+            ASSERT_EQ(fleet.submitGroup({group.data(), queued}), queued);
             fleet.pumpShard(0, fake_now);
         }
         fleet.flushShard(0, fake_now);
     };
 
     // Two warm-up passes settle every reused buffer (frame
-    // accumulator, codec BitVec, SyndromeBatch, decoder scratch).
+    // accumulator, SyndromeBatch, decoder scratch).
     ingest_all();
     ingest_all();
     const uint64_t before = allocCount();
@@ -395,19 +398,19 @@ TEST(AllocCounter, FleetIngestToDecodePathIsAllocationFree)
     const uint64_t allocs = allocCount() - before;
     EXPECT_EQ(allocs, 0u)
         << "fleet ingest->decode allocated " << allocs
-        << " times across " << wire_frames.size()
-        << " steady-state shots";
-    EXPECT_EQ(verdicts.load(), 3 * wire_frames.size());
-    EXPECT_EQ(fleet.decodedTotal(), 3 * wire_frames.size());
+        << " times across " << frames_total << " steady-state shots";
+    EXPECT_EQ(verdicts.load(), 3 * frames_total);
+    EXPECT_EQ(fleet.decodedTotal(), 3 * frames_total);
 }
 
 TEST(AllocCounter, FleetServeCompositionIsAllocationFree)
 {
     // The fleet as serve and perfbench compose it: the service core's
-    // accountFleetShot as the account hook and FleetServer::deliver as
-    // the verdict sink, writing to one real loopback connection. Tiny
-    // drift buckets make the drift monitor rotate every 8 shots inside
-    // the measured pass; the shard is pumped synchronously.
+    // accountFleetFlush as the flush account hook and
+    // FleetServer::deliver as the verdict sink, writing to one real
+    // loopback connection, with jobs submitted in groups. Tiny drift
+    // buckets make the drift monitor rotate every 8 shots inside the
+    // measured pass; the shard is pumped synchronously.
     ServeConfig sc;
     sc.distance = 5;
     sc.physicalErrorRate = 1e-3;
@@ -459,13 +462,21 @@ TEST(AllocCounter, FleetServeCompositionIsAllocationFree)
     }
     ASSERT_EQ(jobs.size(), 128u);
 
-    // Flushes of 8 (the pump after every eighth submit), then a drain.
+    // Groups of 8 as the reader submits them, each pumped as one
+    // flush, and a lone shot ahead of every fourth group; then a drain.
+    std::vector<FleetJob> group;
+    group.reserve(8);
     auto pass = [&] {
-        for (size_t i = 0; i < jobs.size(); i++) {
-            FleetJob j = jobs[i];
-            ASSERT_EQ(fleet.submit(j), FleetSubmit::Enqueued);
-            if (i % 8 == 7)
-                fleet.pumpShard(0, i);
+        for (size_t i = 0; i < jobs.size(); i += 8) {
+            if (i % 32 == 0) {
+                FleetJob lone = jobs[i];
+                ASSERT_EQ(fleet.submit(lone), FleetSubmit::Enqueued);
+            }
+            group.assign(jobs.begin() + static_cast<ptrdiff_t>(
+                                            i + (i % 32 == 0 ? 1 : 0)),
+                         jobs.begin() + static_cast<ptrdiff_t>(i + 8));
+            ASSERT_EQ(fleet.submitGroup(group), group.size());
+            fleet.pumpShard(0, i);
         }
         fleet.flushShard(0, jobs.size());
     };
@@ -489,6 +500,72 @@ TEST(AllocCounter, FleetServeCompositionIsAllocationFree)
         << "serve-composed fleet allocated " << allocs << " times across "
         << jobs.size() << " steady-state shots";
     EXPECT_EQ(core.totalDecodes(), 3 * jobs.size());
+
+    client.close();
+    server.stop();
+}
+
+TEST(AllocCounter, FleetClientSendShotIsAllocationFree)
+{
+    // FleetClient::sendShot encodes each frame straight into its send
+    // buffer; once that buffer has grown, staging shots allocates
+    // nothing. The server side only queues (no workers run).
+    ExperimentConfig ecfg;
+    ecfg.distance = 5;
+    ecfg.physicalErrorRate = 1e-3;
+    auto ctx = std::make_shared<const ExperimentContext>(ecfg);
+    FleetConfig fc;
+    fc.shards = 1;
+    fc.ringCapacity = 1024;
+    DecodeFleet fleet(fc, ctx, registryFactory("astrea"));
+    net::FleetServer server(fleet);
+    fleet.setVerdictSink(
+        [&server](const FleetVerdict &v) { server.deliver(v); });
+    std::string error;
+    ASSERT_TRUE(server.start("127.0.0.1", 0, &error)) << error;
+    net::FleetClient client;
+    ASSERT_TRUE(client.connect("127.0.0.1", server.port(), &error))
+        << error;
+
+    Rng rng(61);
+    BitVec dets, obs;
+    std::vector<std::vector<uint32_t>> shots;
+    size_t guard = 0;
+    while (shots.size() < 128 && ++guard < 2000000) {
+        ctx->sampler().sample(rng, dets, obs);
+        if (dets.popcount() <= 10)
+            shots.push_back(dets.onesIndices());
+    }
+    ASSERT_EQ(shots.size(), 128u);
+
+    // Each pass stays far below the client's 32 KiB flush threshold,
+    // so the measured loop makes no syscall either.
+    uint32_t seq = 0;
+    auto stage = [&] {
+        for (const auto &s : shots)
+            ASSERT_TRUE(client.sendShot(seq % 16, seq++, 7, s));
+    };
+    auto wait_queued = [&](size_t n) {
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(5);
+        while (fleet.queueDepth(0) < n &&
+               std::chrono::steady_clock::now() < deadline)
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        ASSERT_EQ(fleet.queueDepth(0), n);
+    };
+
+    stage();
+    ASSERT_TRUE(client.flush());
+    wait_queued(shots.size());
+    const uint64_t before = allocCount();
+    stage();
+    const uint64_t allocs = allocCount() - before;
+    ASSERT_TRUE(client.flush());
+    wait_queued(2 * shots.size());
+    EXPECT_EQ(allocs, 0u)
+        << "sendShot allocated " << allocs << " times across "
+        << shots.size() << " steady-state shots";
+    EXPECT_EQ(fleet.shedTotal(), 0u);
 
     client.close();
     server.stop();

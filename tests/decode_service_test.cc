@@ -5,13 +5,16 @@
  * DecodeServiceCore is driven synchronously with an injected tick, so
  * the Prometheus exposition, the /statusz JSON schema, rolling-window
  * decay and the syndrome-drift monitor are all checked
- * deterministically; one test then runs the full DecodeService over a
- * real loopback socket.
+ * deterministically, and fleet accounting by flush is held to the
+ * per-shot scrapes byte for byte; one test then runs the full
+ * DecodeService over a real loopback socket.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -305,6 +308,71 @@ TEST(DecodeServiceCoreTest, TraceEndToEndExemplarResolvesToSpans)
     for (const auto &t : idx["traces"].arr)
         found |= t["trace_id"].asString("") == telemetry::traceIdHex(id);
     EXPECT_TRUE(found);
+}
+
+TEST(DecodeServiceCoreTest, FlushAccountingMatchesPerShotAccounting)
+{
+    // The same 1000 fleet shots accounted one accountFleetShot() call
+    // at a time and as flushes of 1, 7 and 64 through
+    // accountFleetFlush() must scrape byte-identically. The shots cross
+    // the drift warm-up (400) and four bucket rotations (every 200),
+    // shift their weights enough to raise the drift alarm, and include
+    // give-ups and latencies over the 1000 ns budget; the tick moves
+    // once, at a shot every flush size divides.
+    ServeConfig cfg = testConfig();
+    cfg.workers = 0;
+    constexpr size_t kShots = 1000;
+    constexpr size_t kTickMove = 448;  // 7 * 64.
+    std::vector<FleetJob> jobs(kShots);
+    std::vector<DecodeResult> results(kShots);
+    Rng rng(5);
+    for (size_t i = 0; i < kShots; i++) {
+        const uint64_t spread = i < 500 ? 4 : 13;
+        jobs[i].hw = static_cast<uint16_t>(rng.uniformInt(spread));
+        results[i].gaveUp = jobs[i].hw > 10;
+        const double latencies[] = {0.0, 37.4, 612.5, 999.5, 1000.0,
+                                    1000.6, 2500.2, 1e6};
+        results[i].latencyNs = latencies[rng.uniformInt(8)];
+    }
+
+    auto run = [&](size_t flush) {
+        auto core = std::make_unique<DecodeServiceCore>(cfg);
+        uint64_t tick = 3;
+        core->setTickFunction([&tick] { return tick; });
+        for (size_t i = 0; i < kShots;) {
+            tick = i < kTickMove ? 3 : 4;
+            if (flush == 0) {
+                core->accountFleetShot(jobs[i].hw, results[i].latencyNs,
+                                       results[i].gaveUp);
+                i++;
+                continue;
+            }
+            const size_t n = std::min(flush, kShots - i);
+            core->accountFleetFlush({jobs.data() + i, n},
+                                    {results.data() + i, n});
+            i += n;
+        }
+        // Scrape at the final tick through a stable clock.
+        core->setTickFunction([] { return uint64_t{4}; });
+        return core;
+    };
+    auto per_shot = run(0);
+    EXPECT_EQ(per_shot->totalDecodes(), kShots);
+    EXPECT_TRUE(per_shot->drift().baselineReady());
+    EXPECT_TRUE(per_shot->drift().alarmed());
+    telemetry::JsonValue doc;
+    ASSERT_TRUE(telemetry::parseJson(per_shot->statuszJson(), doc));
+    EXPECT_GT(doc["totals"]["give_ups"].asUint(), 0u);
+    EXPECT_GT(doc["totals"]["deadline_misses"].asUint(), 0u);
+    EXPECT_EQ(doc["window"]["decodes"].asUint(), kShots);
+
+    for (size_t flush : {1u, 7u, 64u}) {
+        auto batched = run(flush);
+        EXPECT_EQ(batched->metricsText(), per_shot->metricsText())
+            << "flushes of " << flush;
+        EXPECT_EQ(batched->statuszJson(), per_shot->statuszJson())
+            << "flushes of " << flush;
+    }
 }
 
 TEST(DecodeServiceTest, ResolveDecoderNames)

@@ -1,12 +1,14 @@
 /**
  * @file
  * Tests for the sharded decode fleet: the lock-free MPSC ring, the
- * binary ingest protocol (including truncation and bit-flip fuzz), the
- * work-conserving flush policy and its flush-boundary marks under an
- * injected clock, priority-ramp load shedding, parked workers woken by
- * submit() and stop(), one flush written to several connections, and
- * end-to-end TCP ingest parity against a direct decodeBatch on the
- * same syndromes.
+ * binary ingest protocol (golden frame bytes, truncation and bit-flip
+ * fuzz), the work-conserving flush policy and its flush-boundary marks
+ * under an injected clock, per-flush accounting before any verdict
+ * leaves, priority-ramp load shedding (a group sheds what the same
+ * jobs one at a time shed), concurrent group submission, parked
+ * workers woken by a submission and by stop(), one flush written to
+ * several connections, and end-to-end TCP ingest parity against a
+ * direct decodeBatch on the same syndromes.
  */
 
 #include <gtest/gtest.h>
@@ -24,6 +26,7 @@
 #include <memory>
 #include <mutex>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "common/bitvec.hh"
@@ -32,6 +35,7 @@
 #include "compression/syndrome_codec.hh"
 #include "decoders/decoder.hh"
 #include "decoders/registry.hh"
+#include "harness/decode_service.hh"
 #include "harness/fleet.hh"
 #include "harness/memory_experiment.hh"
 #include "net/fleet_client.hh"
@@ -157,9 +161,10 @@ TEST(MpscRing, MpscHammerLosesNothingAndKeepsPerProducerOrder)
 TEST(FleetProtocol, HeaderRoundTrips)
 {
     std::vector<uint8_t> buf;
-    net::appendFleetHeader(buf, net::FleetFrameType::Syndrome,
-                           0xDEADBEEFu, 42, 17);
-    ASSERT_EQ(buf.size(), net::kFleetHeaderBytes);
+    const uint8_t codec[16] = {};
+    net::appendFleetSyndrome(buf, 0xDEADBEEFu, 42, 0, codec,
+                             sizeof(codec));
+    ASSERT_EQ(buf.size(), net::kFleetHeaderBytes + 17);
     net::FleetFrameHeader h;
     EXPECT_EQ(net::parseFleetHeader(buf.data(), buf.size(), h),
               net::FleetParse::Ok);
@@ -167,6 +172,67 @@ TEST(FleetProtocol, HeaderRoundTrips)
     EXPECT_EQ(h.streamId, 0xDEADBEEFu);
     EXPECT_EQ(h.seq, 42u);
     EXPECT_EQ(h.payloadLen, 17u);
+}
+
+TEST(FleetProtocol, GoldenFrameBytes)
+{
+    // One verdict frame and one syndrome frame, byte for byte: magic
+    // 0xA57A, version 1, type, stream id, seq and payload length, all
+    // little-endian, then the payload.
+    std::vector<uint8_t> verdict;
+    net::appendFleetVerdict(verdict, 0x01020304u, 0x0A0B0C0Du,
+                            0x1122334455667788ull,
+                            net::kVerdictGaveUp | net::kVerdictShed);
+    const std::vector<uint8_t> want_verdict{
+        0x7A, 0xA5, 0x01, 0x02, 0x04, 0x03, 0x02, 0x01, 0x0D, 0x0C,
+        0x0B, 0x0A, 0x09, 0x00, 0x88, 0x77, 0x66, 0x55, 0x44, 0x33,
+        0x22, 0x11, 0x03};
+    EXPECT_EQ(verdict, want_verdict);
+    EXPECT_EQ(verdict.size(), net::kFleetVerdictBytes);
+
+    // Defects {3, 17, 64} of a 72-bit syndrome, Sparse: tag 1, count
+    // 3, one byte per index; priority 5 ahead of the codec bytes.
+    const std::vector<uint32_t> defects{3, 17, 64};
+    std::vector<uint8_t> syndrome{0xEE};  // Appends after this byte.
+    net::appendFleetSyndrome(syndrome, 7, 0x100, 5, defects, 72,
+                             SyndromeCodec::Sparse);
+    const std::vector<uint8_t> want_syndrome{
+        0xEE, 0x7A, 0xA5, 0x01, 0x01, 0x07, 0x00, 0x00, 0x00, 0x00,
+        0x01, 0x00, 0x00, 0x06, 0x00, 0x05, 0x01, 0x03, 0x03, 0x11,
+        0x40};
+    EXPECT_EQ(syndrome, want_syndrome);
+}
+
+TEST(FleetProtocol, DefectListSyndromeFrameMatchesPreEncodedFrame)
+{
+    // The frame the client builds from a defect list equals the frame
+    // built around the BitVec encoder's bytes, for every codec, at a
+    // one-byte-index and a two-byte-index width, HW 0-10 and dense.
+    Rng rng(41);
+    for (uint32_t n : {72u, 720u}) {
+        for (uint32_t hw = 0; hw <= 11; hw++) {
+            BitVec v(n);
+            if (hw == 11) {
+                for (uint32_t i = 0; i < n; i += 3)
+                    v.set(i);
+            }
+            while (v.popcount() < hw)
+                v.set(static_cast<size_t>(rng.uniformInt(n)));
+            const std::vector<uint32_t> defects = v.onesIndices();
+            for (SyndromeCodec codec :
+                 {SyndromeCodec::Raw, SyndromeCodec::Sparse,
+                  SyndromeCodec::RunLength}) {
+                const auto codec_bytes = encodeSyndrome(v, codec);
+                std::vector<uint8_t> want, got;
+                net::appendFleetSyndrome(want, 9, hw, 3,
+                                         codec_bytes.data(),
+                                         codec_bytes.size());
+                net::appendFleetSyndrome(got, 9, hw, 3, defects, n,
+                                         codec);
+                EXPECT_EQ(got, want) << "n=" << n << " hw=" << hw;
+            }
+        }
+    }
 }
 
 TEST(FleetProtocol, DribbledBytesYieldFramesInOrder)
@@ -438,6 +504,59 @@ TEST(DecodeFleet, CountsEachFlushBeforeItsVerdictsReachTheSink)
     EXPECT_EQ(fleet.pumpShard(0, 2), 2u);
     const std::vector<std::pair<uint64_t, uint64_t>> want{{1, 4}, {2, 6}};
     EXPECT_EQ(seen, want);
+
+    // The service's accounting too: when a flush's first verdict
+    // reaches the sink, totalDecodes() already holds the whole flush.
+    ServeConfig sc;
+    sc.distance = 3;
+    sc.workers = 0;
+    sc.fleetEnabled = true;
+    sc.fleet = fc;
+    DecodeServiceCore core(sc);
+    DecodeFleet &served = *core.fleet();
+    std::vector<uint64_t> at_first;
+    bool first = true;
+    served.setVerdictSink([&](const FleetVerdict &v) {
+        if (v.shed)
+            return;
+        if (first)
+            at_first.push_back(core.totalDecodes());
+        first = !v.more;
+    });
+    for (uint32_t i = 0; i < 6; i++) {
+        FleetJob j = jobWith(0, i, 7, {0, 1});
+        ASSERT_EQ(served.submit(j), FleetSubmit::Enqueued);
+    }
+    EXPECT_EQ(served.pumpShard(0, 2), 4u);
+    EXPECT_EQ(served.pumpShard(0, 2), 2u);
+    EXPECT_EQ(at_first, (std::vector<uint64_t>{4, 6}));
+}
+
+TEST(DecodeFleet, PerShotAccountHookSeesEachShotOfTheFlushInOrder)
+{
+    FleetConfig fc;
+    fc.shards = 1;
+    fc.ringCapacity = 16;
+    fc.maxBatch = 8;
+    DecodeFleet fleet(fc, smallContext(), registryFactory("astrea"));
+    std::vector<size_t> hws;
+    size_t verdicts_at_account = 0, verdicts = 0;
+    fleet.setAccountHook([&](size_t hw, double, bool) {
+        hws.push_back(hw);
+        verdicts_at_account = verdicts;
+    });
+    fleet.setVerdictSink([&](const FleetVerdict &) { verdicts++; });
+    for (uint32_t i = 0; i < 5; i++) {
+        FleetJob j = jobWith(0, i, 7, {});
+        j.hw = static_cast<uint16_t>(i % 3 == 0 ? 0 : 2);
+        j.defects[0] = 0;
+        j.defects[1] = 1;
+        ASSERT_EQ(fleet.submit(j), FleetSubmit::Enqueued);
+    }
+    EXPECT_EQ(fleet.pumpShard(0, 1), 5u);
+    EXPECT_EQ(hws, (std::vector<size_t>{0, 2, 2, 0, 2}));
+    EXPECT_EQ(verdicts_at_account, 0u);  // All accounted first.
+    EXPECT_EQ(verdicts, 5u);
 }
 
 TEST(DecodeFleet, WakesParkedWorkerForOneShotAndStopsPromptly)
@@ -569,6 +688,162 @@ TEST(DecodeFleet, ShedsLowestPriorityFirstThenRejectsOnFullRing)
     EXPECT_EQ(fleet.flushShard(0, 2), 8u);
     FleetJob j = jobWith(1, seq++, 0, {0});
     EXPECT_EQ(fleet.submit(j), FleetSubmit::Enqueued);
+}
+
+TEST(DecodeFleet, GroupShedsWhatTheSameJobsOneAtATimeShed)
+{
+    // Two shards of 8 slots with the ramp from depth 2 to 6, already
+    // holding a few jobs; then a 24-job group of mixed priorities, more
+    // than the free space. A group and the same jobs submitted one at
+    // a time must give the same outcomes, counters, shed verdicts (in
+    // order) and, once drained, decoded verdicts.
+    FleetConfig fc;
+    fc.shards = 2;
+    fc.ringCapacity = 8;
+    fc.maxBatch = 64;
+    fc.shedLowWatermark = 0.25;
+    fc.shedHighWatermark = 0.75;
+    fc.maxPriority = 7;
+
+    struct Run
+    {
+        std::unique_ptr<DecodeFleet> fleet;
+        std::vector<FleetVerdict> shed, decoded;
+        std::vector<FleetSubmit> outcomes;
+    };
+    auto make = [&] {
+        auto r = std::make_unique<Run>();
+        r->fleet = std::make_unique<DecodeFleet>(
+            fc, smallContext(), registryFactory("astrea"));
+        r->fleet->setNowFunction([] { return uint64_t{1}; });
+        Run *raw = r.get();
+        r->fleet->setVerdictSink([raw](const FleetVerdict &v) {
+            (v.shed ? raw->shed : raw->decoded).push_back(v);
+        });
+        for (uint32_t i = 0; i < 3; i++) {
+            FleetJob j = jobWith(i, 1000 + i, 7, {0, 1});
+            r->fleet->submit(j);
+        }
+        return r;
+    };
+    std::vector<FleetJob> jobs;
+    for (uint32_t i = 0; i < 24; i++) {
+        const uint8_t priority =
+            static_cast<uint8_t>(i % 3 == 0 ? 7 : i * 3 % 8);
+        jobs.push_back(jobWith(i % 5, i, priority, {i % 7, 7 + i % 5}));
+    }
+
+    auto single = make();
+    for (FleetJob j : jobs)
+        single->outcomes.push_back(single->fleet->submit(j));
+    auto grouped = make();
+    std::vector<FleetJob> group = jobs;
+    grouped->outcomes.resize(group.size());
+    const size_t enqueued =
+        grouped->fleet->submitGroup(group, grouped->outcomes.data());
+
+    EXPECT_EQ(grouped->outcomes, single->outcomes);
+    EXPECT_EQ(enqueued, static_cast<size_t>(std::count(
+                            single->outcomes.begin(),
+                            single->outcomes.end(),
+                            FleetSubmit::Enqueued)));
+    for (auto *f : {single->fleet.get(), grouped->fleet.get()})
+        EXPECT_EQ(f->enqueuedTotal() + f->shedTotal(), 3 + jobs.size());
+    EXPECT_GT(single->fleet->shedTotal(), 0u);
+    EXPECT_GT(single->fleet->ringFullTotal(), 0u);
+    EXPECT_LT(single->fleet->shedTotal(), jobs.size());
+    EXPECT_EQ(grouped->fleet->enqueuedTotal(),
+              single->fleet->enqueuedTotal());
+    EXPECT_EQ(grouped->fleet->shedTotal(), single->fleet->shedTotal());
+    EXPECT_EQ(grouped->fleet->ringFullTotal(),
+              single->fleet->ringFullTotal());
+
+    auto key = [](const std::vector<FleetVerdict> &vs) {
+        std::vector<std::tuple<uint32_t, uint32_t, uint64_t, bool>> k;
+        for (const FleetVerdict &v : vs)
+            k.emplace_back(v.streamId, v.seq, v.obsMask, v.gaveUp);
+        return k;
+    };
+    EXPECT_EQ(key(grouped->shed), key(single->shed));
+    for (auto *r : {single.get(), grouped.get()}) {
+        for (unsigned sh = 0; sh < fc.shards; sh++)
+            r->fleet->flushShard(sh, 2);
+    }
+    EXPECT_EQ(key(grouped->decoded), key(single->decoded));
+    EXPECT_EQ(grouped->decoded.size(), single->fleet->enqueuedTotal());
+}
+
+TEST(DecodeFleet, ConcurrentGroupsGetOneVerdictEachInStreamOrder)
+{
+    // Three threads submit groups of 1-16 jobs into two running shards
+    // whose rings are small enough to fill. Every job gets exactly one
+    // verdict, decoded or shed, and each stream's decoded verdicts
+    // arrive in the order its jobs were submitted.
+    FleetConfig fc;
+    fc.shards = 2;
+    fc.ringCapacity = 64;
+    fc.maxBatch = 8;
+    DecodeFleet fleet(fc, smallContext(), registryFactory("astrea"));
+
+    constexpr unsigned kThreads = 3;
+    constexpr uint32_t kStreamsPerThread = 4;
+    constexpr uint32_t kJobsPerThread = 3000;
+    std::mutex mu;
+    std::map<uint32_t, std::vector<std::pair<uint32_t, bool>>> got;
+    fleet.setVerdictSink([&](const FleetVerdict &v) {
+        std::lock_guard<std::mutex> lock(mu);
+        got[v.streamId].emplace_back(v.seq, v.shed);
+    });
+    fleet.start();
+
+    std::vector<std::thread> producers;
+    for (unsigned t = 0; t < kThreads; t++) {
+        producers.emplace_back([&fleet, t] {
+            Rng rng(100 + t);
+            std::vector<FleetJob> group(16);
+            uint32_t next = 0;
+            while (next < kJobsPerThread) {
+                const size_t n = std::min<size_t>(
+                    1 + rng.uniformInt(16), kJobsPerThread - next);
+                for (size_t i = 0; i < n; i++, next++) {
+                    group[i] = jobWith(
+                        100 * t + next % kStreamsPerThread,
+                        next / kStreamsPerThread, 7,
+                        {next % 9, 9 + next % 4});
+                }
+                fleet.submitGroup({group.data(), n});
+            }
+        });
+    }
+    for (auto &p : producers)
+        p.join();
+    fleet.stop();  // Drains every ring.
+
+    const uint64_t total = uint64_t{kThreads} * kJobsPerThread;
+    EXPECT_EQ(fleet.enqueuedTotal() + fleet.shedTotal(), total);
+    EXPECT_EQ(fleet.decodedTotal(), fleet.enqueuedTotal());
+    size_t verdicts = 0;
+    for (auto &[stream, vs] : got) {
+        std::vector<bool> seen(kJobsPerThread / kStreamsPerThread, false);
+        int64_t last_decoded = -1;
+        for (const auto &[seq, shed] : vs) {
+            ASSERT_LT(seq, seen.size()) << "stream " << stream;
+            EXPECT_FALSE(seen[seq])
+                << "stream " << stream << " seq " << seq << " twice";
+            seen[seq] = true;
+            if (!shed) {
+                EXPECT_GT(static_cast<int64_t>(seq), last_decoded)
+                    << "stream " << stream << " out of order";
+                last_decoded = seq;
+            }
+        }
+        EXPECT_EQ(std::count(seen.begin(), seen.end(), true),
+                  static_cast<ptrdiff_t>(seen.size()))
+            << "stream " << stream;
+        verdicts += vs.size();
+    }
+    EXPECT_EQ(got.size(), size_t{kThreads} * kStreamsPerThread);
+    EXPECT_EQ(verdicts, total);
 }
 
 TEST(DecodeFleet, ShardMappingIsStableAndCoversAllShards)

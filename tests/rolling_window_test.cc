@@ -6,13 +6,17 @@
  * matching the shared log2 bucket math — plus boundary-time hammer
  * tests pinning the recycle protocol: a snapshot taken exactly when a
  * slot is being recycled must never attribute the previous
- * sub-window's counts to the new tick (double counting).
+ * sub-window's counts to the new tick (double counting). Merging a
+ * locally built histogram leaves the window exactly as recording its
+ * samples one at a time does.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "telemetry/metrics.hh"
@@ -103,6 +107,46 @@ TEST(RollingLatencyTest, BucketsMatchLatencyMetricGeometry)
     EXPECT_EQ(lw.bins, lm.bins);
     EXPECT_EQ(lw.minNs, lm.minNs);
     EXPECT_EQ(lw.maxNs, lm.maxNs);
+}
+
+TEST(RollingLatencyTest, MergeMatchesRecordingEachSample)
+{
+    // Batches of samples (rounding edge cases, zero, negative and NaN
+    // included) merged per sub-window, against the same samples
+    // recorded one at a time: every bin, count, sum, min and max of
+    // every window agrees, across a slot recycle and into a slot that
+    // already holds samples.
+    const std::vector<std::pair<uint64_t, std::vector<double>>> batches{
+        {0, {120.4, 120.6, 0.0, 3999.5, 1e6}},
+        {0, {7.0, -5.0, std::nan("")}},
+        {1, {250.0}},
+        {2, {}},
+        {4, {64.0, 63.6, 1e9, 2.5}},  // Recycles tick 0's slot.
+        {5, {1.0}},
+    };
+    RollingLatency merged(4), recorded(4);
+    for (const auto &[tick, samples] : batches) {
+        LatencyBuckets b;
+        for (double ns : samples) {
+            RollingLatency::addSample(b, ns);
+            recorded.record(tick, ns);
+        }
+        merged.merge(tick, b);
+    }
+    for (uint64_t tick = 0; tick <= 6; tick++) {
+        for (size_t k = 0; k <= 4; k++) {
+            const LatencyBuckets m = merged.buckets(tick, k);
+            const LatencyBuckets r = recorded.buckets(tick, k);
+            EXPECT_EQ(m.bins, r.bins) << "tick " << tick << " k " << k;
+            EXPECT_EQ(m.count, r.count);
+            EXPECT_EQ(m.sumNs, r.sumNs);
+            EXPECT_EQ(m.minNs, r.minNs);
+            EXPECT_EQ(m.maxNs, r.maxNs);
+            EXPECT_EQ(merged.percentileNs(tick, 50.0, k),
+                      recorded.percentileNs(tick, 50.0, k));
+        }
+    }
+    EXPECT_EQ(merged.count(5), 5u);  // Ticks 2-5: 0 + 4 + 1.
 }
 
 TEST(RollingCounterTest, BoundarySnapshotNeverSeesStaleCountOnNewTick)
