@@ -9,7 +9,6 @@
 #include "common/weight.hh"
 #include "matching/blossom.hh"
 #include "matching/dp_matcher.hh"
-#include "telemetry/flight_recorder.hh"
 #include "telemetry/trace_store.hh"
 
 namespace astrea
@@ -222,35 +221,32 @@ AccuracyAuditor::oracleDecode(std::span<const uint32_t> defects) const
     return o;
 }
 
-uint64_t
+void
 AccuracyAuditor::captureMismatch(const AuditSample &s,
-                                 const Oracle &oracle)
+                                 const telemetry::TraceAuditVerdict &v)
 {
-    if (!config_.captureMismatches ||
-        !telemetry::FlightRecorder::globalEnabled())
-        return 0;
-    telemetry::DecodeRecord rec;
-    rec.shot = s.shot;
-    rec.worker = s.worker;
-    rec.defects.assign(s.defects.begin(), s.defects.begin() + s.hw);
-    rec.obsMask = s.prodObs;
-    rec.actualObs = s.actualObs;
-    rec.gaveUp = s.gaveUp;
-    rec.logicalError = (s.prodObs != s.actualObs);
-    rec.latencyNs = s.latencyNs;
-    rec.cycles = s.cycles;
-    rec.matchingWeight = s.prodWeight;
-    rec.audited = true;
-    rec.auditMismatch = true;
-    rec.oracleName = oracle.usedDp ? "dp" : "mwpm";
-    rec.oracleQuantized = config_.quantizedWeights;
-    rec.oracleWeight = oracle.weight;
-    rec.oracleObs = oracle.obsMask;
-    rec.traceId = s.traceId;
-    const uint64_t seq =
-        telemetry::FlightRecorder::global().record(rec);
-    captures_.fetch_add(1, std::memory_order_relaxed);
-    return seq;
+    // The mismatch is audited on the pool after its stream has moved
+    // on, so the capture holds this shot alone.
+    telemetry::TraceStore &store = telemetry::TraceStore::global();
+    if (!store.captureArmed())
+        return;
+    telemetry::StoredTrace t;
+    t.traceId = s.traceId;
+    t.shot = s.shot;
+    t.stream = s.worker;
+    t.hw = s.hw;
+    t.latencyNs = s.latencyNs;
+    t.cycles = s.cycles;
+    t.matchingWeight = s.prodWeight;
+    t.obsMask = s.prodObs;
+    t.actualObs = s.actualObs;
+    t.gaveUp = s.gaveUp;
+    t.logicalError = s.prodObs != s.actualObs;
+    t.audited = true;
+    t.auditDone = true;
+    t.audit = v;
+    if (store.capture(t, {s.defects.data(), s.hw}, "audit_mismatch"))
+        captures_.fetch_add(1, std::memory_order_relaxed);
 }
 
 void
@@ -261,6 +257,11 @@ AccuracyAuditor::auditOne(const AuditSample &s)
     (oracle.usedDp ? dpDecodes_ : mwpmDecodes_)
         .fetch_add(1, std::memory_order_relaxed);
     completed_.fetch_add(1, std::memory_order_relaxed);
+    telemetry::TraceAuditVerdict verdict;
+    verdict.oracleWeight = oracle.weight;
+    verdict.oracleObs = oracle.obsMask;
+    verdict.oracleDp = oracle.usedDp;
+    verdict.quantized = config_.quantizedWeights;
 
     if (s.gaveUp) {
         // A give-up predicts no flip; the oracle audit asks whether an
@@ -269,11 +270,9 @@ AccuracyAuditor::auditOne(const AuditSample &s)
         if (oracle.obsMask == s.actualObs)
             giveUpOracleSuccess_.fetch_add(1,
                                            std::memory_order_relaxed);
-        if (s.traceId != 0) {
-            telemetry::TraceStore::global().annotateAudit(
-                s.traceId, /*mismatch=*/false, /*gap_decades=*/0.0,
-                oracle.weight, oracle.obsMask, /*capture_seq=*/0);
-        }
+        if (s.traceId != 0)
+            telemetry::TraceStore::global().annotateAudit(s.traceId,
+                                                          verdict);
         return;
     }
 
@@ -282,12 +281,11 @@ AccuracyAuditor::auditOne(const AuditSample &s)
 
     if (s.prodObs != oracle.obsMask) {
         observableMismatches_.fetch_add(1, std::memory_order_relaxed);
-        const uint64_t capture_seq = captureMismatch(s, oracle);
-        if (s.traceId != 0) {
-            telemetry::TraceStore::global().annotateAudit(
-                s.traceId, /*mismatch=*/true, /*gap_decades=*/0.0,
-                oracle.weight, oracle.obsMask, capture_seq);
-        }
+        verdict.mismatch = true;
+        captureMismatch(s, verdict);
+        if (s.traceId != 0)
+            telemetry::TraceStore::global().annotateAudit(s.traceId,
+                                                          verdict);
         return;
     }
 
@@ -308,9 +306,9 @@ AccuracyAuditor::auditOne(const AuditSample &s)
     }
 
     if (s.traceId != 0) {
-        telemetry::TraceStore::global().annotateAudit(
-            s.traceId, /*mismatch=*/false, gap, oracle.weight,
-            oracle.obsMask, /*capture_seq=*/0);
+        verdict.gapDecades = gap;
+        telemetry::TraceStore::global().annotateAudit(s.traceId,
+                                                      verdict);
     }
 
     size_t bucket = static_cast<size_t>(

@@ -24,8 +24,8 @@
  *
  * and give-ups sampled for audit are always oracle-decoded so the
  * report can distinguish recoverable give-ups from shots the oracle
- * also gets wrong. Observable-mismatches trigger a flight-recorder
- * capture (telemetry/flight_recorder.hh) for replay forensics.
+ * also gets wrong. Observable-mismatches write a capture through the
+ * trace store (telemetry/trace_store.hh) for replay forensics.
  *
  * Hot-path contract: offer() is one relaxed fetch_add when the shot is
  * not sampled, and a bounded-queue copy with drop-not-block semantics
@@ -55,6 +55,11 @@
 namespace astrea
 {
 
+namespace telemetry
+{
+struct TraceAuditVerdict;
+} // namespace telemetry
+
 /** Static auditor configuration. */
 struct AuditConfig
 {
@@ -72,8 +77,6 @@ struct AuditConfig
      * false over the exact decade weights (the software baseline).
      */
     bool quantizedWeights = true;
-    /** Dump a flight-recorder capture on observable-mismatch. */
-    bool captureMismatches = true;
 
     /** Overlay ASTREA_AUDIT_* environment knobs onto base. */
     static AuditConfig fromEnv(AuditConfig base);
@@ -187,9 +190,9 @@ class AccuracyAuditor
 
   private:
     void auditOne(const AuditSample &s);
-    /** Returns the flight-recorder capture seq (0 = no capture). */
-    uint64_t captureMismatch(const AuditSample &s,
-                             const Oracle &oracle);
+    /** Capture an observable mismatch when a capture is armed. */
+    void captureMismatch(const AuditSample &s,
+                         const telemetry::TraceAuditVerdict &v);
     double pairWeight(uint32_t a, uint32_t b) const;
 
     AuditConfig config_;

@@ -3,7 +3,7 @@
  * Typed environment-variable readers with one-time warnings.
  *
  * Every subsystem used to hand-roll its own std::getenv parsing
- * (telemetry switches, trace paths, flight-recorder capacity, worker
+ * (telemetry switches, trace paths, capture limits, worker
  * counts), each with slightly different malformed-value behavior. This
  * helper centralizes the conventions:
  *

@@ -220,11 +220,11 @@ class Decoder
 
     /**
      * Emit the decoder's configuration as key/value pairs into an
-     * already-open JSON object. The flight recorder embeds this in
-     * capture files so `astrea_cli replay` can reconstruct an
-     * identically-configured decoder through the DecoderRegistry;
-     * decoders whose behavior is fully determined by their name may
-     * emit nothing.
+     * already-open JSON object. The trace store embeds this in
+     * trace details and capture files so `astrea_cli replay` can
+     * reconstruct an identically-configured decoder through the
+     * DecoderRegistry; decoders whose behavior is fully determined by
+     * their name may emit nothing.
      */
     virtual void
     describeConfig(telemetry::JsonWriter &w) const

@@ -19,7 +19,7 @@
  *   reports its matching).
  *
  * Display names (what Decoder::name() returns, e.g. "Astrea-G",
- * "Windowed(MWPM)") also resolve, which is how flight-recorder
+ * "Windowed(MWPM)") also resolve, which is how replayed traces and
  * captures reconstruct their decoder through makeFromDescription().
  */
 

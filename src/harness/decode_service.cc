@@ -10,7 +10,6 @@
 #include "common/logging.hh"
 #include "net/fleet_server.hh"
 #include "telemetry/decode_trace.hh"
-#include "telemetry/flight_recorder.hh"
 #include "telemetry/json.hh"
 #include "telemetry/perf_counters.hh"
 #include "telemetry/prometheus.hh"
@@ -198,10 +197,6 @@ DecodeServiceCore::DecodeServiceCore(const ServeConfig &config)
     auto probe = factory_(*ctx_);
     telemetry::TraceStore::global().setRunInfo(
         experimentConfigJson(ec), decoderDescriptionJson(*probe));
-    if (telemetry::FlightRecorder::globalEnabled()) {
-        telemetry::FlightRecorder::global().beginRun(
-            experimentConfigJson(ec), decoderDescriptionJson(*probe));
-    }
 
     if (config_.fleetEnabled) {
         fleet_ = std::make_unique<DecodeFleet>(config_.fleet, ctx_,
@@ -313,7 +308,6 @@ DecodeServiceCore::decodeBatch(Worker &w, uint64_t shots)
         w.decoder->decodeBatch(w.batch, w.results, w.scratch);
     }
 
-    const bool flight = telemetry::FlightRecorder::globalEnabled();
     for (uint64_t i = 0; i < shots; i++) {
         const size_t hw = w.batch.hw(i);
         const uint64_t tick = tick_();
@@ -325,7 +319,6 @@ DecodeServiceCore::decodeBatch(Worker &w, uint64_t shots)
         bool gave_up = false;
         bool logical_error = false;
         bool audited = false;
-        uint64_t capture_seq = 0;
         if (hw > 0) {
             const DecodeResult &dr = w.results[i];
             latency_ns = dr.latencyNs;
@@ -336,24 +329,6 @@ DecodeServiceCore::decodeBatch(Worker &w, uint64_t shots)
             // Shadow audit: copy-only, drop-not-block, off hot path.
             audited = audit_->offer(w.shots, w.index, w.batch.at(i),
                                     dr, w.actuals[i], trace_id);
-
-            if (flight) {
-                telemetry::DecodeRecord rec;
-                rec.shot = w.shots;
-                rec.worker = w.index;
-                auto sp = w.batch.at(i);
-                rec.defects.assign(sp.begin(), sp.end());
-                rec.obsMask = dr.obsMask;
-                rec.actualObs = w.actuals[i];
-                rec.gaveUp = gave_up;
-                rec.logicalError = logical_error;
-                rec.latencyNs = dr.latencyNs;
-                rec.cycles = dr.cycles;
-                rec.matchingWeight = dr.matchingWeight;
-                rec.traceId = trace_id;
-                capture_seq =
-                    telemetry::FlightRecorder::global().record(rec);
-            }
         }
 
         if (tracer.active()) {
@@ -363,7 +338,6 @@ DecodeServiceCore::decodeBatch(Worker &w, uint64_t shots)
             out.gaveUp = gave_up;
             out.logicalError = logical_error;
             out.audited = audited;
-            out.captureSeq = capture_seq;
             out.actualObs = w.actuals[i];
             if (hw > 0) {
                 const DecodeResult &dr = w.results[i];

@@ -19,7 +19,7 @@
  *    error budget; >1 = on track to violate);
  *  - a syndrome-drift monitor: a chi-square distance between the
  *    recent Hamming-weight histogram and a warm-up baseline — the
- *    online counterpart of the flight recorder's post-mortem view. A
+ *    online counterpart of a capture's post-mortem view. A
  *    rising physical error rate shows up here long before the logical
  *    error rate moves.
  *

@@ -9,7 +9,6 @@
 #include "dem/extractor.hh"
 #include "telemetry/decode_trace.hh"
 #include "telemetry/export.hh"
-#include "telemetry/flight_recorder.hh"
 #include "telemetry/perf_counters.hh"
 #include "telemetry/telemetry.hh"
 
@@ -185,23 +184,15 @@ runMemoryExperiment(const ExperimentContext &ctx,
     ExperimentResult total;
     std::mutex merge_mutex;
 
-    const bool flight = telemetry::FlightRecorder::globalEnabled();
-    const bool tracing = telemetry::traceRetention().enabled;
-    if (flight || tracing) {
-        // Install this run's context and decoder descriptions so a
-        // capture or dumped trace triggered mid-run embeds enough to
+    if (telemetry::traceRetention().enabled ||
+        telemetry::TraceStore::global().captureArmed()) {
+        // Start a run: install its context and decoder descriptions so
+        // a capture or dumped trace triggered mid-run embeds enough to
         // replay it.
         auto probe = factory(ctx);
-        if (flight) {
-            telemetry::FlightRecorder::global().beginRun(
-                experimentConfigJson(ctx.config()),
-                decoderDescriptionJson(*probe));
-        }
-        if (tracing) {
-            telemetry::TraceStore::global().setRunInfo(
-                experimentConfigJson(ctx.config()),
-                decoderDescriptionJson(*probe));
-        }
+        telemetry::TraceStore::global().setRunInfo(
+            experimentConfigJson(ctx.config()),
+            decoderDescriptionJson(*probe));
     }
 
     // ASTREA_AUDIT_RATE > 0 shadow-audits a fraction of shots against
@@ -223,8 +214,6 @@ runMemoryExperiment(const ExperimentContext &ctx,
         auto decoder = factory(ctx);
         telemetry::TraceWriter *trace = telemetry::globalTraceFast();
         const uint64_t trace_stride = telemetry::traceSampleStride();
-        telemetry::FlightRecorder *recorder =
-            flight ? &telemetry::FlightRecorder::global() : nullptr;
 
         ExperimentResult local;
         BitVec dets(ctx.circuit().numDetectors());
@@ -241,9 +230,10 @@ runMemoryExperiment(const ExperimentContext &ctx,
         std::vector<uint64_t> actuals;
         std::vector<uint32_t> obs_indices;
 
-        // Per-thread tail-sampling tracer (ASTREA_TRACE): ids derive
-        // from (seed, worker, shot), matching the serve path. The
-        // name is hoisted so the block loop stays allocation-free.
+        // Per-thread tail-sampling tracer (ASTREA_TRACE) and capture
+        // recorder (ASTREA_CAPTURE_*): ids derive from (seed, worker,
+        // shot), matching the serve path. The name is hoisted so the
+        // block loop stays allocation-free.
         telemetry::DecodeTracer &tracer = telemetry::decodeTracer();
         const std::string decoder_name = decoder->name();
 
@@ -306,24 +296,6 @@ runMemoryExperiment(const ExperimentContext &ctx,
                     audited = auditor->offer(s, worker, batch.at(i),
                                              dr, actual, trace_id);
 
-                uint64_t capture_seq = 0;
-                if (recorder != nullptr) {
-                    telemetry::DecodeRecord rec;
-                    rec.shot = s;
-                    rec.worker = worker;
-                    auto sp = batch.at(i);
-                    rec.defects.assign(sp.begin(), sp.end());
-                    rec.obsMask = dr.obsMask;
-                    rec.actualObs = actual;
-                    rec.gaveUp = dr.gaveUp;
-                    rec.logicalError = error;
-                    rec.latencyNs = dr.latencyNs;
-                    rec.cycles = dr.cycles;
-                    rec.matchingWeight = dr.matchingWeight;
-                    rec.traceId = trace_id;
-                    capture_seq = recorder->record(rec);
-                }
-
                 if (tracer.active()) {
                     telemetry::TraceShotOutcome out;
                     out.latencyNs = dr.latencyNs;
@@ -334,7 +306,6 @@ runMemoryExperiment(const ExperimentContext &ctx,
                     out.gaveUp = dr.gaveUp;
                     out.logicalError = error;
                     out.audited = audited;
-                    out.captureSeq = capture_seq;
                     auto sp = batch.at(i);
                     out.defects = sp.data();
                     out.hw = static_cast<uint32_t>(sp.size());

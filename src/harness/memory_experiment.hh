@@ -124,7 +124,7 @@ DecoderFactory windowedFactory(DecoderFactory inner,
 
 /**
  * Serialize an ExperimentConfig as a JSON object string. Embedded in
- * flight-recorder capture files; replayCapture() parses it back.
+ * trace details and capture files; replayCapture() parses it back.
  */
 std::string experimentConfigJson(const ExperimentConfig &config);
 

@@ -39,7 +39,8 @@ parseConfig(const telemetry::JsonValue &ctx, ExperimentConfig &cfg,
             std::string *error_out)
 {
     if (ctx.kind != telemetry::JsonValue::Object) {
-        *error_out = "capture has no context object";
+        *error_out = "document embeds no context object (run info was "
+                     "not installed when it was written)";
         return false;
     }
     cfg.distance = static_cast<uint32_t>(ctx["distance"].asUint(3));
@@ -94,11 +95,11 @@ formatDecades(double d)
  * the chosen matching and its per-pair weights, and the verdict.
  */
 void
-narrateRecord(std::ostream &out, const telemetry::DecodeRecord &rec,
+narrateRecord(std::ostream &out, const ReplayRecord &rec,
               const DecodeResult &dr, const GlobalWeightTable &gwt,
               double wth_decades, const ReplayOptions &options)
 {
-    const auto &defects = rec.defects;
+    const auto &defects = rec.syndrome;
     const WeightSum wth = std::isinf(wth_decades)
                               ? kInfiniteWeightSum
                               : decadesToQuantized(wth_decades);
@@ -186,7 +187,7 @@ narrateRecord(std::ostream &out, const telemetry::DecodeRecord &rec,
                                                      : "success"))
         << ", " << dr.cycles << " cycles\n";
 
-    if (!rec.audited)
+    if (!rec.auditDone)
         return;
 
     // Records written by the accuracy auditor carry the oracle's
@@ -194,23 +195,24 @@ narrateRecord(std::ostream &out, const telemetry::DecodeRecord &rec,
     // the exact DP matcher, re-derive the oracle's matching in the
     // same weight domain (quantized LWT decades or exact GWT decades)
     // so the disagreement is visible pair by pair.
+    const telemetry::TraceAuditVerdict &audit = rec.audit;
     char oobs[32];
     std::snprintf(oobs, sizeof(oobs), "0x%llx",
-                  static_cast<unsigned long long>(rec.oracleObs));
-    out << "  audit oracle (" << rec.oracleName << ", "
-        << (rec.oracleQuantized ? "quantized" : "exact")
-        << " weights): weight " << formatDecades(rec.oracleWeight)
+                  static_cast<unsigned long long>(audit.oracleObs));
+    out << "  audit oracle (" << (audit.oracleDp ? "dp" : "mwpm")
+        << ", " << (audit.quantized ? "quantized" : "exact")
+        << " weights): weight " << formatDecades(audit.oracleWeight)
         << " decades, obs " << oobs
-        << (rec.auditMismatch ? " [observable mismatch]" : "") << '\n';
+        << (audit.mismatch ? " [observable mismatch]" : "") << '\n';
     out << "  weight gap vs production: "
-        << formatDecades(rec.matchingWeight - rec.oracleWeight)
+        << formatDecades(rec.matchingWeight - audit.oracleWeight)
         << " decades\n";
 
     const size_t n = defects.size();
     if (n == 0 || n > 20)
         return;
     auto pair_weight = [&](uint32_t a, uint32_t b) {
-        if (rec.oracleQuantized)
+        if (audit.quantized)
             return static_cast<double>(gwt.pairWeight(a, b)) /
                    kWeightScale;
         return gwt.exactWeight(a, b);
@@ -240,63 +242,34 @@ narrateRecord(std::ostream &out, const telemetry::DecodeRecord &rec,
     }
 }
 
-/**
- * A /traces/<id> trace-detail JSON is itself a complete replay input:
- * the trace store embeds the run's experiment config and decoder
- * description precisely so a kept tail trace can be re-decoded without
- * hunting for a matching flight-recorder capture. Synthesize a
- * one-record capture from it.
- */
-bool
-loadTraceDetail(const telemetry::JsonValue &doc, ReplayCapture &out,
-                std::string *error_out)
+/** One decode: the top level of a trace detail, or a "recent" entry. */
+ReplayRecord
+parseRecord(const telemetry::JsonValue &r)
 {
-    out.schemaVersion = telemetry::kCaptureSchemaVersion;
-    out.fromTrace = true;
-    if (!parseConfig(doc["context"], out.config, error_out)) {
-        *error_out = "trace embeds no context object (run info was "
-                     "not installed when the trace was kept)";
-        return false;
-    }
-
-    const telemetry::JsonValue &dec = doc["decoder_config"];
-    out.decoderName = dec["name"].asString("");
-    out.decoderConfig = dec;
-    if (out.decoderName.empty()) {
-        *error_out = "trace embeds no decoder description";
-        return false;
-    }
-
-    telemetry::DecodeRecord rec;
+    ReplayRecord rec;
     rec.traceId =
-        telemetry::parseTraceIdHex(doc["trace_id"].asString(""));
-    rec.shot = doc["shot"].asUint(0);
-    rec.worker = static_cast<uint32_t>(doc["stream"].asUint(0));
-    for (const telemetry::JsonValue &d : doc["defects"].arr)
-        rec.defects.push_back(static_cast<uint32_t>(d.asUint(0)));
-    rec.obsMask = doc["obs_mask"].asUint(0);
-    rec.actualObs = doc["actual_obs"].asUint(0);
-    rec.gaveUp = doc["gave_up"].asBool(false);
-    rec.logicalError = doc["logical_error"].asBool(false);
-    rec.latencyNs = doc["latency_ns"].asNumber(0.0);
-    rec.cycles = doc["cycles"].asUint(0);
-    rec.matchingWeight = doc["matching_weight"].asNumber(0.0);
-    const telemetry::JsonValue &audit = doc["audit"];
-    if (audit.kind == telemetry::JsonValue::Object &&
-        audit["done"].asBool(false)) {
-        rec.audited = true;
-        rec.auditMismatch = audit["mismatch"].asBool(false);
-        rec.oracleName = "trace audit";
-        rec.oracleWeight = audit["oracle_weight"].asNumber(0.0);
-        rec.oracleObs = audit["oracle_obs"].asUint(0);
-    }
-
-    out.triggerReason = "trace " + doc["trace_id"].asString("?") +
-                        " (" + doc["outcome"].asString("?") + ")";
-    out.triggerShot = rec.shot;
-    out.records.clear();
-    out.records.push_back(std::move(rec));
-    return true;
+        telemetry::parseTraceIdHex(r["trace_id"].asString(""));
+    rec.shot = r["shot"].asUint(0);
+    rec.stream = static_cast<uint32_t>(r["stream"].asUint(0));
+    for (const telemetry::JsonValue &d : r["defects"].arr)
+        rec.syndrome.push_back(static_cast<uint32_t>(d.asUint(0)));
+    rec.hw = static_cast<uint32_t>(r["hw"].asUint(rec.syndrome.size()));
+    rec.obsMask = r["obs_mask"].asUint(0);
+    rec.actualObs = r["actual_obs"].asUint(0);
+    rec.gaveUp = r["gave_up"].asBool(false);
+    rec.logicalError = r["logical_error"].asBool(false);
+    rec.latencyNs = r["latency_ns"].asNumber(0.0);
+    rec.cycles = r["cycles"].asUint(0);
+    rec.matchingWeight = r["matching_weight"].asNumber(0.0);
+    const telemetry::JsonValue &audit = r["audit"];
+    rec.audited = audit["sampled"].asBool(false);
+    rec.auditDone = audit["done"].asBool(false);
+    rec.audit.mismatch = audit["mismatch"].asBool(false);
+    rec.audit.oracleDp = audit["oracle"].asString("") == "dp";
+    rec.audit.quantized = audit["quantized"].asBool(true);
+    rec.audit.oracleWeight = audit["oracle_weight"].asNumber(0.0);
+    rec.audit.oracleObs = audit["oracle_obs"].asUint(0);
+    return rec;
 }
 
 } // namespace
@@ -316,69 +289,42 @@ loadCapture(const std::string &path, ReplayCapture &out,
         *error_out = "malformed capture JSON: " + path;
         return false;
     }
-    // A /traces/<id> dump carries trace_schema_version instead of
-    // capture_schema_version; route it through the synthesizer.
-    if (doc["trace_schema_version"].asUint(0) != 0)
-        return loadTraceDetail(doc, out, error_out);
-
-    out.schemaVersion = doc["capture_schema_version"].asUint(0);
-    if (out.schemaVersion != telemetry::kCaptureSchemaVersion) {
-        *error_out = "unsupported capture schema version " +
-                     std::to_string(out.schemaVersion) + " (expected " +
-                     std::to_string(telemetry::kCaptureSchemaVersion) +
-                     ")";
+    if (doc.has("capture_schema_version")) {
+        *error_out = "schema-1 flight-recorder capture: replay it with "
+                     "a build from before captures became trace-store "
+                     "dumps";
+        return false;
+    }
+    const uint64_t version = doc["trace_schema_version"].asUint(0);
+    if (version != telemetry::kTraceSchemaVersion) {
+        *error_out = "not a trace or capture document (trace schema "
+                     "version " + std::to_string(version) +
+                     ", expected " +
+                     std::to_string(telemetry::kTraceSchemaVersion) + ")";
         return false;
     }
     if (!parseConfig(doc["context"], out.config, error_out))
         return false;
 
-    const telemetry::JsonValue &dec = doc["decoder"];
+    const telemetry::JsonValue &dec = doc["decoder_config"];
     out.decoderName = dec["name"].asString("");
     out.decoderConfig = dec;
     if (out.decoderName.empty()) {
-        *error_out = "capture names no decoder";
+        *error_out = "document embeds no decoder description";
         return false;
     }
 
-    const telemetry::JsonValue &trig = doc["trigger"];
-    if (trig.kind == telemetry::JsonValue::Object) {
-        out.triggerReason = trig["reason"].asString("");
-        out.triggerShot = trig["shot"].asUint(0);
-    }
-
-    const telemetry::JsonValue &records = doc["records"];
-    if (records.kind != telemetry::JsonValue::Array) {
-        *error_out = "capture has no records array";
-        return false;
-    }
+    // The trigger's own entry in "recent" may hold a cut defect list;
+    // the top level carries the whole one, so it replaces that entry.
+    out.triggerReason = doc["trigger"].asString("");
+    ReplayRecord trigger = parseRecord(doc);
     out.records.clear();
-    for (const telemetry::JsonValue &r : records.arr) {
-        telemetry::DecodeRecord rec;
-        rec.shot = r["shot"].asUint(0);
-        rec.worker = static_cast<uint32_t>(r["worker"].asUint(0));
-        for (const telemetry::JsonValue &d : r["defects"].arr)
-            rec.defects.push_back(
-                static_cast<uint32_t>(d.asUint(0)));
-        rec.obsMask = r["obs_mask"].asUint(0);
-        rec.actualObs = r["actual_obs"].asUint(0);
-        rec.gaveUp = r["gave_up"].asBool(false);
-        rec.logicalError = r["logical_error"].asBool(false);
-        rec.latencyNs = r["latency_ns"].asNumber(0.0);
-        rec.cycles = r["cycles"].asUint(0);
-        rec.matchingWeight = r["matching_weight"].asNumber(0.0);
-        rec.traceId =
-            telemetry::parseTraceIdHex(r["trace_id"].asString(""));
-        const telemetry::JsonValue &audit = r["audit"];
-        if (audit.kind == telemetry::JsonValue::Object) {
-            rec.audited = true;
-            rec.auditMismatch = audit["mismatch"].asBool(false);
-            rec.oracleName = audit["oracle"].asString("");
-            rec.oracleQuantized = audit["quantized"].asBool(true);
-            rec.oracleWeight = audit["oracle_weight"].asNumber(0.0);
-            rec.oracleObs = audit["oracle_obs"].asUint(0);
-        }
-        out.records.push_back(std::move(rec));
+    for (const telemetry::JsonValue &r : doc["recent"].arr) {
+        ReplayRecord rec = parseRecord(r);
+        if (rec.stream != trigger.stream || rec.shot != trigger.shot)
+            out.records.push_back(std::move(rec));
     }
+    out.records.push_back(std::move(trigger));
     return true;
 }
 
@@ -387,14 +333,21 @@ replayCapture(const ReplayCapture &capture,
               const ReplayOptions &options, std::ostream &out)
 {
     ReplaySummary summary;
+    const bool is_capture = !capture.triggerReason.empty();
 
     out << "replay: " << capture.decoderName << " at d="
         << capture.config.distance << " p="
         << capture.config.physicalErrorRate << ", "
         << capture.records.size() << " records";
-    if (!capture.triggerReason.empty())
-        out << ", trigger " << capture.triggerReason << " at shot "
-            << capture.triggerShot;
+    if (!capture.records.empty()) {
+        const ReplayRecord &last = capture.records.back();
+        if (is_capture)
+            out << ", trigger " << capture.triggerReason << " at shot "
+                << last.shot;
+        else
+            out << ", trace " << telemetry::traceIdHex(last.traceId)
+                << " at shot " << last.shot;
+    }
     out << '\n';
 
     ExperimentContext ctx(capture.config);
@@ -416,8 +369,28 @@ replayCapture(const ReplayCapture &capture,
     DecodeResult dr;
     DecodeScratch scratch;
     for (size_t i = 0; i < capture.records.size(); i++) {
-        const telemetry::DecodeRecord &rec = capture.records[i];
-        decoder->decodeInto(rec.defects, dr, scratch);
+        const ReplayRecord &rec = capture.records[i];
+        summary.records++;
+        // The document's own decode is the trigger of a capture, or
+        // the trace itself; a record selected by trace id is the
+        // record of interest too.
+        const bool is_last = i + 1 == capture.records.size();
+        const bool is_trigger = is_last && is_capture;
+        const bool of_interest =
+            is_last ||
+            (options.traceId != 0 && rec.traceId == options.traceId);
+
+        if (rec.truncated()) {
+            // Re-decoding part of the syndrome would report a verdict
+            // the decoder never gave, so the record is only listed.
+            summary.truncated++;
+            out << "record " << i << " (shot " << rec.shot
+                << ", stream " << rec.stream << "): HW " << rec.hw
+                << ", " << rec.syndrome.size()
+                << " defects kept [truncated, not verified]\n";
+            continue;
+        }
+        decoder->decodeInto(rec.syndrome, dr, scratch);
 
         // The verdict must reproduce exactly: the decoders are pure
         // functions of (GWT, defects), and the GWT is rebuilt from the
@@ -428,7 +401,6 @@ replayCapture(const ReplayCapture &capture,
                      dr.cycles == rec.cycles &&
                      std::abs(dr.matchingWeight - rec.matchingWeight) <=
                          1e-9;
-        summary.records++;
         if (!match)
             summary.mismatches++;
         if (dr.gaveUp)
@@ -438,21 +410,13 @@ replayCapture(const ReplayCapture &capture,
         if (dr.obsMask != rec.actualObs)
             summary.logicalErrors++;
 
-        bool is_trigger = !capture.triggerReason.empty() &&
-                          rec.shot == capture.triggerShot &&
-                          (rec.gaveUp || rec.logicalError ||
-                           rec.auditMismatch);
-        // A record selected by trace id — or the single record of a
-        // synthesized trace capture — is the record of interest.
-        bool is_trace =
-            (options.traceId != 0 && rec.traceId == options.traceId) ||
-            capture.fromTrace;
-        bool narrate = options.verboseAll ||
-                       (options.verbose && (is_trigger || is_trace)) ||
-                       capture.fromTrace || !match;
+        // A plain trace has no recent decodes: its one record is the
+        // point of the replay.
+        bool narrate = options.verboseAll || !match ||
+                       ((options.verbose || !is_capture) && of_interest);
         if (narrate || is_trigger) {
             out << "record " << i << " (shot " << rec.shot
-                << ", worker " << rec.worker << "): HW " << rec.hw();
+                << ", stream " << rec.stream << "): HW " << rec.hw;
             if (rec.traceId != 0)
                 out << ", trace "
                     << telemetry::traceIdHex(rec.traceId);
@@ -476,7 +440,7 @@ replayCapture(const ReplayCapture &capture,
 
     if (options.traceId != 0) {
         bool found = false;
-        for (const telemetry::DecodeRecord &rec : capture.records)
+        for (const ReplayRecord &rec : capture.records)
             found = found || rec.traceId == options.traceId;
         if (!found)
             out << "replay: trace "
@@ -484,10 +448,14 @@ replayCapture(const ReplayCapture &capture,
                 << " not present in this capture\n";
     }
 
-    out << "replay: " << summary.records << " records, "
-        << summary.gaveUps << " give-ups, " << summary.logicalErrors
-        << " logical errors, " << summary.mismatches << " mismatches"
-        << (summary.ok() ? " -- verdicts reproduced" : "") << '\n';
+    out << "replay: " << summary.records << " records, ";
+    if (summary.truncated > 0)
+        out << summary.truncated << " truncated (not verified), ";
+    out << summary.gaveUps << " give-ups, " << summary.logicalErrors
+        << " logical errors, " << summary.mismatches << " mismatches";
+    if (summary.ok() && summary.records > summary.truncated)
+        out << " -- verdicts reproduced";
+    out << '\n';
     return summary;
 }
 

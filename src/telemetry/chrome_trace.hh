@@ -9,7 +9,7 @@
  * duration events ("B"/"E") for every completed ScopedTimer span,
  * counter events ("C") for sampled quantities such as Astrea-G's
  * priority-queue occupancy, and instant events ("i") for point
- * incidents (give-ups, flight-recorder captures).
+ * incidents (give-ups).
  *
  * Timestamps are microseconds on the process-wide steady clock, so
  * they are monotonic across threads; each thread gets a stable small

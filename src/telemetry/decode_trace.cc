@@ -117,9 +117,23 @@ DecodeTracer::beginBatch(uint32_t stream, uint64_t base_shot,
                          const char *decoder, uint64_t seed)
 {
     const TraceRetentionConfig cfg = traceRetention();
-    active_ = cfg.enabled;
+    TraceStore &store = TraceStore::global();
+    keepTraces_ = cfg.enabled;
+    capturing_ = store.captureArmed();
+    active_ = keepTraces_ || capturing_;
     if (!active_)
         return;
+    if (capturing_) {
+        if (recent_ == nullptr)
+            recent_ = std::make_unique<RecentDecode[]>(kRecentShots);
+        // A new run must never leak an earlier run's shots into its
+        // captures, even on a thread that ran both.
+        const uint64_t run = store.run();
+        if (run != recentRun_) {
+            recentRun_ = run;
+            recentCount_ = 0;
+        }
+    }
     stream_ = stream;
     baseShot_ = base_shot;
     seed_ = seed;
@@ -226,6 +240,26 @@ DecodeTracer::shotId(uint32_t shot_idx) const
     return id == 0 ? 1 : id;
 }
 
+void
+DecodeTracer::rememberShot(uint32_t shot_idx, const TraceShotOutcome &o)
+{
+    RecentDecode &r = recent_[recentCount_++ % kRecentShots];
+    r.shot = baseShot_ + shot_idx;
+    r.traceId = shotId(shot_idx);
+    r.obsMask = o.obsMask;
+    r.actualObs = o.actualObs;
+    r.cycles = o.cycles;
+    r.latencyNs = o.latencyNs;
+    r.matchingWeight = o.matchingWeight;
+    r.stream = stream_;
+    r.hw = o.defects != nullptr ? o.hw : 0;
+    r.gaveUp = o.gaveUp;
+    r.logicalError = o.logicalError;
+    const uint32_t n = std::min(r.hw, kTraceMaxDefects);
+    if (n > 0)
+        std::memcpy(r.defects, o.defects, n * sizeof(uint32_t));
+}
+
 uint64_t
 DecodeTracer::finishShot(uint32_t shot_idx,
                          const TraceShotOutcome &o)
@@ -233,8 +267,9 @@ DecodeTracer::finishShot(uint32_t shot_idx,
     if (!active_)
         return 0;
     TraceStore &store = TraceStore::global();
-    store.noteConsidered();
-    decodeNo_++;
+    if (capturing_)
+        rememberShot(shot_idx, o);
+    const bool trigger = capturing_ && (o.gaveUp || o.logicalError);
 
     uint8_t reasons = 0;
     if (tailNs_ > 0.0 && o.latencyNs > tailNs_)
@@ -245,12 +280,18 @@ DecodeTracer::finishShot(uint32_t shot_idx,
         reasons |= kTraceKeepError;
     if (o.audited)
         reasons |= kTraceKeepAudit;
-    if (stride_ > 0 && decodeNo_ % stride_ == 0)
-        reasons |= kTraceKeepStride;
-    if (reasons == 0) {
-        store.noteDropped();
-        return 0;
+    bool keep = false;
+    if (keepTraces_) {
+        store.noteConsidered();
+        decodeNo_++;
+        if (stride_ > 0 && decodeNo_ % stride_ == 0)
+            reasons |= kTraceKeepStride;
+        keep = reasons != 0;
+        if (!keep)
+            store.noteDropped();
     }
+    if (!keep && !trigger)
+        return 0;
 
     StoredTrace t;
     t.traceId = shotId(shot_idx);
@@ -266,7 +307,6 @@ DecodeTracer::finishShot(uint32_t shot_idx,
     t.gaveUp = o.gaveUp;
     t.logicalError = o.logicalError;
     t.reasons = reasons;
-    t.captureSeq = o.captureSeq;
     t.audited = o.audited;
 
     // The batch envelope first, then this shot's contiguous span
@@ -290,12 +330,22 @@ DecodeTracer::finishShot(uint32_t shot_idx,
         dropped++;  // Beyond the per-shot range table.
     }
     t.droppedSpans = static_cast<uint32_t>(dropped);
-    store.noteSpansDropped(dropped);
 
     const uint32_t ncopy = std::min(o.hw, kTraceMaxDefects);
     if (o.defects != nullptr && ncopy > 0)
         std::memcpy(t.defects, o.defects, ncopy * sizeof(uint32_t));
 
+    if (trigger) {
+        // The capture carries the trigger's full defect list; the
+        // ring's copy of it may be cut at kTraceMaxDefects.
+        const size_t held = std::min<uint64_t>(recentCount_, kRecentShots);
+        store.capture(t, {o.defects, o.defects != nullptr ? o.hw : 0},
+                      o.gaveUp ? "give_up" : "logical_error",
+                      {recent_.get(), held}, recentCount_ % held);
+    }
+    if (!keep)
+        return 0;
+    store.noteSpansDropped(dropped);
     store.keep(t);
     return t.traceId;
 }
@@ -303,7 +353,7 @@ DecodeTracer::finishShot(uint32_t shot_idx,
 void
 DecodeTracer::endBatch()
 {
-    if (active_ && droppedBuf_ > 0)
+    if (keepTraces_ && droppedBuf_ > 0)
         TraceStore::global().noteSpansDropped(droppedBuf_);
     active_ = false;
     nBuf_ = 0;

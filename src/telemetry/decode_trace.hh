@@ -25,6 +25,17 @@
  * Kept traces move into TraceStore::global(); everything else costs
  * nothing beyond the buffered spans being forgotten.
  *
+ * The tracer is also the forensic recorder. While the store has a
+ * capture armed (ASTREA_CAPTURE_PATH / ASTREA_CAPTURE_DIR), each
+ * thread's tracer keeps its stream's last kRecentShots finished shots
+ * in a ring of fixed-size records, allocated once on the thread's
+ * first armed batch, and a give-up or logical error seen by
+ * finishShot() writes a capture through the store: the trigger's
+ * trace with its full defect list plus that ring. A new run
+ * (TraceStore::setRunInfo) empties the ring. The tracer runs when
+ * tracing is on or a capture is armed, and keeps traces in the store
+ * only when tracing is on.
+ *
  * Knobs (common/env.hh, overridable via ServeConfig / CLI flags):
  * ASTREA_TRACE (master switch), ASTREA_TRACE_TAIL_NS (0 = auto p99),
  * ASTREA_TRACE_STRIDE, ASTREA_TRACE_RING.
@@ -34,6 +45,7 @@
 #define ASTREA_TELEMETRY_DECODE_TRACE_HH
 
 #include <cstdint>
+#include <memory>
 
 #include "telemetry/perf_counters.hh"
 #include "telemetry/trace_store.hh"
@@ -85,9 +97,7 @@ struct TraceShotOutcome
     bool logicalError = false;
     /** The shot was enqueued into the audit queue (offer() == true). */
     bool audited = false;
-    /** Flight-recorder capture triggered by this shot; 0 = none. */
-    uint64_t captureSeq = 0;
-    const uint32_t *defects = nullptr;
+    const uint32_t *defects = nullptr;  ///< hw entries, the full list.
     uint32_t hw = 0;
 };
 
@@ -102,12 +112,15 @@ class DecodeTracer
     static constexpr uint32_t kBufSpans = 1024;
     /** Largest in-batch shot index with an exact span range. */
     static constexpr uint32_t kMaxBatchShots = 256;
+    /** Finished shots the capture ring keeps. */
+    static constexpr uint32_t kRecentShots = 256;
 
     /**
      * Arm tracing for one decodeBatch call on this thread. seed makes
      * trace ids deterministic per (stream, shot): callers derive it
      * from the run seed and the worker index. A no-op (the whole
-     * batch records nothing) when retention is disabled.
+     * batch records nothing) when retention is disabled and no
+     * capture is armed.
      */
     void beginBatch(uint32_t stream, uint64_t base_shot,
                     const char *decoder, uint64_t seed);
@@ -142,7 +155,9 @@ class DecodeTracer
     /**
      * Tail-retention verdict for one completed shot: returns the
      * trace id when the trace was kept (published to
-     * TraceStore::global()), 0 when discarded or inactive.
+     * TraceStore::global()), 0 when discarded or inactive. With a
+     * capture armed, also records the shot in the recent ring and
+     * captures it if it gave up or is a logical error.
      */
     uint64_t finishShot(uint32_t shot_idx, const TraceShotOutcome &o);
 
@@ -152,7 +167,11 @@ class DecodeTracer
     bool active() const { return active_; }
 
   private:
+    void rememberShot(uint32_t shot_idx, const TraceShotOutcome &o);
+
     bool active_ = false;
+    bool keepTraces_ = false;  ///< Tracing on: kept traces go to the store.
+    bool capturing_ = false;   ///< Capture armed for this batch.
     uint32_t stream_ = 0;
     uint64_t baseShot_ = 0;
     uint64_t seed_ = 0;
@@ -183,6 +202,12 @@ class DecodeTracer
 
     TraceSpan batchSpan_;
     bool hasBatchSpan_ = false;
+
+    // Capture ring: the last kRecentShots finished shots of the
+    // current run, oldest at recentCount_ % kRecentShots once full.
+    std::unique_ptr<RecentDecode[]> recent_;
+    uint64_t recentCount_ = 0;
+    uint64_t recentRun_ = 0;  ///< TraceStore::run() the ring belongs to.
 };
 
 /** This thread's tracer. */

@@ -51,7 +51,7 @@ class JsonWriter
     /**
      * Splice a pre-serialized JSON value verbatim in value position.
      * The caller vouches that the fragment is itself valid JSON (the
-     * flight recorder embeds context objects serialized elsewhere).
+     * trace store embeds context objects serialized elsewhere).
      */
     JsonWriter &raw(const std::string &json_value);
 

@@ -3,7 +3,7 @@
  * Minimal JSON document model and recursive-descent parser.
  *
  * The forensics tooling needs to read JSON back, not just write it:
- * the capture replayer re-decodes flight-recorder captures, and the
+ * the capture replayer re-decodes trace-store captures, and the
  * structural tests validate exporter output. The repository has a
  * no-external-dependency policy, so this is a small hand-rolled
  * parser covering the JSON this codebase itself emits (objects,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstddef>
 #include <cstdio>
@@ -10,6 +11,7 @@
 #include <type_traits>
 
 #include "common/env.hh"
+#include "common/logging.hh"
 #include "telemetry/decode_trace.hh"
 #include "telemetry/json.hh"
 #include "telemetry/perf_counters.hh"
@@ -78,11 +80,11 @@ struct TraceStore::Slot
     uint64_t words[kTraceWords] = {};
 
     std::atomic<uint64_t> annId{0};
-    std::atomic<uint32_t> annFlags{0};  ///< bit 0 done, bit 1 mismatch.
+    /** bit 0 done, 1 mismatch, 2 DP oracle, 3 quantized weights. */
+    std::atomic<uint32_t> annFlags{0};
     std::atomic<double> annGap{0.0};
     std::atomic<double> annOracleWeight{0.0};
     std::atomic<uint64_t> annOracleObs{0};
-    std::atomic<uint64_t> annCaptureSeq{0};
 };
 
 const char *
@@ -147,6 +149,7 @@ TraceStore::setRunInfo(std::string context_json,
     std::lock_guard<std::mutex> lock(runInfoMu_);
     contextJson_ = std::move(context_json);
     decoderJson_ = std::move(decoder_json);
+    run_.fetch_add(1, std::memory_order_release);
 }
 
 void
@@ -211,12 +214,12 @@ TraceStore::readSlot(size_t idx, StoredTrace *out) const
             {
                 const uint32_t flags = s.annFlags.load(relaxed_);
                 out->auditDone = (flags & 1u) != 0;
-                out->auditMismatch = (flags & 2u) != 0;
-                out->auditGapDecades = s.annGap.load(relaxed_);
-                out->oracleWeight = s.annOracleWeight.load(relaxed_);
-                out->oracleObs = s.annOracleObs.load(relaxed_);
-                if (out->captureSeq == 0)
-                    out->captureSeq = s.annCaptureSeq.load(relaxed_);
+                out->audit.mismatch = (flags & 2u) != 0;
+                out->audit.oracleDp = (flags & 4u) != 0;
+                out->audit.quantized = (flags & 8u) != 0;
+                out->audit.gapDecades = s.annGap.load(relaxed_);
+                out->audit.oracleWeight = s.annOracleWeight.load(relaxed_);
+                out->audit.oracleObs = s.annOracleObs.load(relaxed_);
             }
             return true;
         }
@@ -225,9 +228,7 @@ TraceStore::readSlot(size_t idx, StoredTrace *out) const
 }
 
 bool
-TraceStore::annotateAudit(uint64_t trace_id, bool mismatch,
-                          double gap_decades, double oracle_weight,
-                          uint64_t oracle_obs, uint64_t capture_seq)
+TraceStore::annotateAudit(uint64_t trace_id, const TraceAuditVerdict &v)
 {
     if (trace_id == 0)
         return false;
@@ -245,11 +246,13 @@ TraceStore::annotateAudit(uint64_t trace_id, bool mismatch,
         // readers re-checking annId against the payload they copied.
         if (loadWord(s.words[kTraceIdWord]) != trace_id)
             continue;
-        s.annFlags.store((mismatch ? 2u : 0u) | 1u, relaxed_);
-        s.annGap.store(gap_decades, relaxed_);
-        s.annOracleWeight.store(oracle_weight, relaxed_);
-        s.annOracleObs.store(oracle_obs, relaxed_);
-        s.annCaptureSeq.store(capture_seq, relaxed_);
+        s.annFlags.store(1u | (v.mismatch ? 2u : 0u) |
+                             (v.oracleDp ? 4u : 0u) |
+                             (v.quantized ? 8u : 0u),
+                         relaxed_);
+        s.annGap.store(v.gapDecades, relaxed_);
+        s.annOracleWeight.store(v.oracleWeight, relaxed_);
+        s.annOracleObs.store(v.oracleObs, relaxed_);
         s.annId.store(trace_id, std::memory_order_release);
         annotated = true;
     }
@@ -259,12 +262,7 @@ TraceStore::annotateAudit(uint64_t trace_id, bool mismatch,
         if (!e.valid || e.t.traceId != trace_id)
             continue;
         e.t.auditDone = true;
-        e.t.auditMismatch = mismatch;
-        e.t.auditGapDecades = gap_decades;
-        e.t.oracleWeight = oracle_weight;
-        e.t.oracleObs = oracle_obs;
-        if (e.t.captureSeq == 0)
-            e.t.captureSeq = capture_seq;
+        e.t.audit = v;
         annotated = true;
     }
     return annotated;
@@ -365,6 +363,36 @@ TraceStore::exemplarAbove(size_t bucket) const
 namespace
 {
 
+/** The keys a trace detail and a capture's "recent" entries share:
+ *  what replay reads to re-decode and check one shot. */
+template <class Decode>
+void
+appendDecodeKeys(JsonWriter &w, const Decode &d,
+                 std::span<const uint32_t> defects)
+{
+    w.kv("shot", d.shot);
+    w.kv("stream", d.stream);
+    w.kv("hw", d.hw);
+    w.kv("latency_ns", d.latencyNs);
+    w.kv("cycles", d.cycles);
+    w.kv("matching_weight", d.matchingWeight);
+    w.kv("obs_mask", d.obsMask);
+    w.kv("actual_obs", d.actualObs);
+    w.kv("gave_up", d.gaveUp);
+    w.kv("logical_error", d.logicalError);
+    w.key("defects").beginArray();
+    for (uint32_t x : defects)
+        w.value(uint64_t{x});
+    w.endArray();
+}
+
+template <class Decode>
+std::span<const uint32_t>
+inlineDefects(const Decode &d)
+{
+    return {d.defects, std::min(d.hw, kTraceMaxDefects)};
+}
+
 void
 appendReasonsJson(JsonWriter &w, uint8_t reasons)
 {
@@ -401,42 +429,34 @@ TraceStore::appendSummaryJson(JsonWriter &w,
     w.kv("spans", uint64_t{t.numSpans});
     w.kv("audited", t.audited);
     if (t.auditDone) {
-        w.kv("audit_mismatch", t.auditMismatch);
-        w.kv("audit_weight_gap_decades", t.auditGapDecades);
+        w.kv("audit_mismatch", t.audit.mismatch);
+        w.kv("audit_weight_gap_decades", t.audit.gapDecades);
     }
     w.endObject();
 }
 
 void
-TraceStore::appendDetailJson(JsonWriter &w, const StoredTrace &t) const
+TraceStore::appendDetailFields(JsonWriter &w, const StoredTrace &t,
+                               std::span<const uint32_t> defects) const
 {
-    w.beginObject();
     w.kv("trace_schema_version", kTraceSchemaVersion);
     w.kv("trace_id", traceIdHex(t.traceId));
-    w.kv("shot", t.shot);
-    w.kv("stream", t.stream);
     w.kv("decoder", t.decoder);
-    w.kv("hw", t.hw);
-    w.kv("latency_ns", t.latencyNs);
-    w.kv("cycles", t.cycles);
-    w.kv("matching_weight", t.matchingWeight);
-    w.kv("obs_mask", t.obsMask);
-    w.kv("actual_obs", t.actualObs);
-    w.kv("gave_up", t.gaveUp);
-    w.kv("logical_error", t.logicalError);
+    appendDecodeKeys(w, t, defects);
     w.kv("outcome", traceOutcomeName(t));
     w.key("reasons");
     appendReasonsJson(w, t.reasons);
-    w.kv("capture_seq", t.captureSeq);
 
     w.key("audit").beginObject();
     w.kv("sampled", t.audited);
     w.kv("done", t.auditDone);
     if (t.auditDone) {
-        w.kv("mismatch", t.auditMismatch);
-        w.kv("weight_gap_decades", t.auditGapDecades);
-        w.kv("oracle_weight", t.oracleWeight);
-        w.kv("oracle_obs", t.oracleObs);
+        w.kv("mismatch", t.audit.mismatch);
+        w.kv("weight_gap_decades", t.audit.gapDecades);
+        w.kv("oracle", t.audit.oracleDp ? "dp" : "mwpm");
+        w.kv("quantized", t.audit.quantized);
+        w.kv("oracle_weight", t.audit.oracleWeight);
+        w.kv("oracle_obs", t.audit.oracleObs);
     }
     w.endObject();
 
@@ -454,19 +474,11 @@ TraceStore::appendDetailJson(JsonWriter &w, const StoredTrace &t) const
     w.endArray();
     w.kv("dropped_spans", uint64_t{t.droppedSpans});
 
-    w.key("defects").beginArray();
-    for (uint32_t i = 0; i < t.hw && i < kTraceMaxDefects; i++)
-        w.value(uint64_t{t.defects[i]});
-    w.endArray();
-
-    {
-        std::lock_guard<std::mutex> lock(runInfoMu_);
-        if (!contextJson_.empty())
-            w.key("context").raw(contextJson_);
-        if (!decoderJson_.empty())
-            w.key("decoder_config").raw(decoderJson_);
-    }
-    w.endObject();
+    std::lock_guard<std::mutex> lock(runInfoMu_);
+    if (!contextJson_.empty())
+        w.key("context").raw(contextJson_);
+    if (!decoderJson_.empty())
+        w.key("decoder_config").raw(decoderJson_);
 }
 
 std::string
@@ -504,8 +516,103 @@ TraceStore::detailJson(uint64_t trace_id) const
     if (!find(trace_id, &t))
         return "";
     JsonWriter w;
-    appendDetailJson(w, t);
+    w.beginObject();
+    appendDetailFields(w, t, inlineDefects(t));
+    w.endObject();
     return w.str();
+}
+
+void
+TraceStore::setCapturePath(std::string path)
+{
+    std::lock_guard<std::mutex> lock(captureMu_);
+    capturePath_ = std::move(path);
+    captureArmed_.store(!capturePath_.empty() || !captureDir_.empty(),
+                        relaxed_);
+}
+
+void
+TraceStore::setCaptureDir(std::string dir, size_t max_files,
+                          uint64_t min_interval_ms)
+{
+    std::lock_guard<std::mutex> lock(captureMu_);
+    captureDir_ = std::move(dir);
+    captureMaxFiles_ = max_files;
+    captureMinInterval_ = std::chrono::milliseconds(min_interval_ms);
+    captureDirSeq_ = 0;
+    lastCapture_.reset();
+    captureArmed_.store(!capturePath_.empty() || !captureDir_.empty(),
+                        relaxed_);
+}
+
+std::string
+TraceStore::claimCapturePath()
+{
+    std::lock_guard<std::mutex> lock(captureMu_);
+    if (captureDir_.empty()) {
+        // One-shot: the first trigger takes the path and disarms, so
+        // later failures never overwrite the first piece of evidence.
+        std::string path = std::move(capturePath_);
+        capturePath_.clear();
+        captureArmed_.store(false, relaxed_);
+        return path;
+    }
+    // Numbered files, rate-limited so a pathological run cannot flood
+    // the filesystem.
+    const auto now = std::chrono::steady_clock::now();
+    if (captureDirSeq_ >= captureMaxFiles_ ||
+        (lastCapture_ && now - *lastCapture_ < captureMinInterval_)) {
+        capturesRateLimited_.fetch_add(1, relaxed_);
+        return "";
+    }
+    lastCapture_ = now;
+    char name[32];
+    std::snprintf(name, sizeof(name), "/capture-%03llu.json",
+                  static_cast<unsigned long long>(captureDirSeq_++));
+    return captureDir_ + name;
+}
+
+bool
+TraceStore::capture(const StoredTrace &t,
+                    std::span<const uint32_t> defects, const char *reason,
+                    std::span<const RecentDecode> recent, size_t oldest)
+{
+    const std::string path = claimCapturePath();
+    if (path.empty())
+        return false;
+
+    JsonWriter w;
+    w.beginObject();
+    appendDetailFields(w, t, defects);
+    w.kv("trigger", reason);
+    if (!recent.empty()) {
+        w.key("recent").beginArray();
+        for (size_t k = 0; k < recent.size(); k++) {
+            const RecentDecode &r = recent[(oldest + k) % recent.size()];
+            if (r.stream != t.stream)
+                continue;
+            w.beginObject();
+            if (r.traceId != 0)
+                w.kv("trace_id", traceIdHex(r.traceId));
+            appendDecodeKeys(w, r, inlineDefects(r));
+            w.endObject();
+        }
+        w.endArray();
+    }
+    w.endObject();
+
+    std::FILE *f = std::fopen(path.c_str(), "w");
+    if (f == nullptr) {
+        error("trace store: cannot open capture file: " + path);
+        return false;
+    }
+    std::fputs(w.str().c_str(), f);
+    std::fputc('\n', f);
+    std::fclose(f);
+    capturesWritten_.fetch_add(1, relaxed_);
+    inform(std::string("trace store: wrote capture (") + reason +
+           ") to " + path);
+    return true;
 }
 
 void
@@ -566,6 +673,16 @@ TraceStore::global()
 {
     static TraceStore store(static_cast<size_t>(env::getUint(
         "ASTREA_TRACE_RING", 1024, 1)));
+    static const bool armed = [] {
+        store.setCapturePath(env::getString("ASTREA_CAPTURE_PATH", ""));
+        store.setCaptureDir(
+            env::getString("ASTREA_CAPTURE_DIR", ""),
+            static_cast<size_t>(
+                env::getUint("ASTREA_CAPTURE_MAX_FILES", 32, 1)),
+            env::getUint("ASTREA_CAPTURE_MIN_INTERVAL_MS", 1000));
+        return true;
+    }();
+    (void)armed;
     return store;
 }
 

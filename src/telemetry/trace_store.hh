@@ -31,15 +31,29 @@
  * succeeds only from a stable sequence older than the writer's
  * position, so a writer that finds the slot mid-write or already
  * holding a newer trace counts its own trace as dropped instead.
+ *
+ * The store also writes forensic captures. When a capture is armed
+ * (ASTREA_CAPTURE_PATH=file.json for the first trigger only, or
+ * ASTREA_CAPTURE_DIR=dir for numbered capture-NNN.json files, bounded
+ * by ASTREA_CAPTURE_MAX_FILES and spaced by
+ * ASTREA_CAPTURE_MIN_INTERVAL_MS), a give-up, a logical error or an
+ * audit mismatch dumps one JSON document: the trigger's /traces/<id>
+ * detail with its full defect list, a "trigger" reason, and a
+ * "recent" array of the stream's last decodes, oldest first, taken
+ * from the tracer's per-thread ring (telemetry/decode_trace.hh).
+ * `astrea_cli replay` re-decodes it (harness/replay.hh).
  */
 
 #ifndef ASTREA_TELEMETRY_TRACE_STORE_HH
 #define ASTREA_TELEMETRY_TRACE_STORE_HH
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -84,6 +98,17 @@ struct TraceSpan
     uint32_t durNs = 0;
 };
 
+/** One audit verdict (audit/auditor.hh), as a trace records it. */
+struct TraceAuditVerdict
+{
+    bool mismatch = false;
+    bool oracleDp = false;   ///< DP oracle; false = blossom MWPM.
+    bool quantized = true;   ///< Quantized GWT vs exact decade weights.
+    double gapDecades = 0.0;
+    double oracleWeight = 0.0;
+    uint64_t oracleObs = 0;
+};
+
 /** One kept trace: fixed-size so ring slots publish with a memcpy. */
 struct StoredTrace
 {
@@ -100,20 +125,38 @@ struct StoredTrace
     bool gaveUp = false;
     bool logicalError = false;
     uint8_t reasons = 0;
-    uint64_t captureSeq = 0;  ///< Flight-recorder capture id; 0 none.
 
     // Audit cross-link. `audited` is set synchronously when the shot
-    // was enqueued for audit; the rest arrives via annotateAudit().
+    // was enqueued for audit; `audit` arrives via annotateAudit().
     bool audited = false;
     bool auditDone = false;
-    bool auditMismatch = false;
-    double auditGapDecades = 0.0;
-    double oracleWeight = 0.0;
-    uint64_t oracleObs = 0;
+    TraceAuditVerdict audit;
 
     uint32_t numSpans = 0;
     uint32_t droppedSpans = 0;
     TraceSpan spans[kTraceMaxSpans];
+    uint32_t defects[kTraceMaxDefects] = {};
+};
+
+/**
+ * One finished decode in a tracer's recent-decode ring: what a
+ * capture's "recent" array holds. Defects past kTraceMaxDefects are
+ * not kept; hw keeps the true count, so replay can tell a truncated
+ * record from a whole one.
+ */
+struct RecentDecode
+{
+    uint64_t shot = 0;
+    uint64_t traceId = 0;
+    uint64_t obsMask = 0;
+    uint64_t actualObs = 0;
+    uint64_t cycles = 0;
+    double latencyNs = 0.0;
+    double matchingWeight = 0.0;
+    uint32_t stream = 0;
+    uint32_t hw = 0;
+    bool gaveUp = false;
+    bool logicalError = false;
     uint32_t defects[kTraceMaxDefects] = {};
 };
 
@@ -153,12 +196,16 @@ class TraceStore
     void configure(size_t capacity);
 
     /**
-     * Install the run's context / decoder descriptions (pre-serialized
-     * JSON objects, the same strings FlightRecorder::beginRun takes)
-     * so a dumped trace embeds enough for `astrea_cli replay
-     * --trace-id` to rebuild the decode.
+     * Start a new run: install its context / decoder descriptions
+     * (pre-serialized JSON objects) so a dumped trace or capture
+     * embeds enough for `astrea_cli replay` to rebuild the decode, and
+     * advance run(), which makes every tracer forget the recent
+     * decodes it kept for an earlier run.
      */
     void setRunInfo(std::string context_json, std::string decoder_json);
+
+    /** Number of setRunInfo() calls so far. */
+    uint64_t run() const { return run_.load(std::memory_order_acquire); }
 
     /** One decode completed with tracing active. */
     void noteConsidered() { considered_.fetch_add(1, relaxed_); }
@@ -183,9 +230,7 @@ class TraceStore
      * it still lives (ring slot, exemplar copy, or both). Returns true
      * if any copy was annotated.
      */
-    bool annotateAudit(uint64_t trace_id, bool mismatch,
-                       double gap_decades, double oracle_weight,
-                       uint64_t oracle_obs, uint64_t capture_seq);
+    bool annotateAudit(uint64_t trace_id, const TraceAuditVerdict &v);
 
     /** Copy a trace out by id; ring first, then exemplar table.
      *  `out` may be null for a pure existence check. */
@@ -232,6 +277,49 @@ class TraceStore
      *  an already-open JSON object. */
     void writeStatusz(JsonWriter &w) const;
 
+    /**
+     * Arm one-shot capture: the first trigger after arming writes its
+     * capture to path, and the capture disarms. "" disarms.
+     */
+    void setCapturePath(std::string path);
+
+    /**
+     * Arm directory capture: each trigger writes the next numbered
+     * capture-NNN.json into dir, at most max_files of them, at least
+     * min_interval_ms apart. Takes precedence over setCapturePath().
+     * "" disarms.
+     */
+    void setCaptureDir(std::string dir, size_t max_files = 32,
+                       uint64_t min_interval_ms = 1000);
+
+    /** Whether a trigger would be offered a capture (one relaxed
+     *  load; the tracer checks it once per batch). */
+    bool captureArmed() const { return captureArmed_.load(relaxed_); }
+
+    /**
+     * Capture trigger t (reason "give_up", "logical_error" or
+     * "audit_mismatch"): its detail document with the full `defects`
+     * list, plus the entries of `recent` from t's stream, oldest
+     * first. `recent` is a ring whose oldest entry sits at index
+     * `oldest`. The file is claimed under a lock before the write, so
+     * concurrent triggers never share or rewrite a file. Returns true
+     * when a capture was written.
+     */
+    bool capture(const StoredTrace &t, std::span<const uint32_t> defects,
+                 const char *reason,
+                 std::span<const RecentDecode> recent = {},
+                 size_t oldest = 0);
+
+    uint64_t capturesWritten() const
+    {
+        return capturesWritten_.load(relaxed_);
+    }
+    /** Directory-mode triggers suppressed by the rate limit. */
+    uint64_t capturesRateLimited() const
+    {
+        return capturesRateLimited_.load(relaxed_);
+    }
+
     /** The process-wide store the tracer publishes into. */
     static TraceStore &global();
 
@@ -240,7 +328,11 @@ class TraceStore
 
     bool readSlot(size_t idx, StoredTrace *out) const;
     void appendSummaryJson(JsonWriter &w, const StoredTrace &t) const;
-    void appendDetailJson(JsonWriter &w, const StoredTrace &t) const;
+    /** Detail keys of t into an open object; defects in full. */
+    void appendDetailFields(JsonWriter &w, const StoredTrace &t,
+                            std::span<const uint32_t> defects) const;
+    /** Claim the file a trigger's capture goes to; "" = none. */
+    std::string claimCapturePath();
 
     static constexpr std::memory_order relaxed_ =
         std::memory_order_relaxed;
@@ -266,6 +358,18 @@ class TraceStore
     mutable std::mutex runInfoMu_;
     std::string contextJson_;
     std::string decoderJson_;
+    std::atomic<uint64_t> run_{0};
+
+    std::atomic<bool> captureArmed_{false};
+    std::atomic<uint64_t> capturesWritten_{0};
+    std::atomic<uint64_t> capturesRateLimited_{0};
+    std::mutex captureMu_;
+    std::string capturePath_;
+    std::string captureDir_;
+    size_t captureMaxFiles_ = 32;
+    std::chrono::milliseconds captureMinInterval_{1000};
+    uint64_t captureDirSeq_ = 0;
+    std::optional<std::chrono::steady_clock::time_point> lastCapture_;
 };
 
 } // namespace telemetry

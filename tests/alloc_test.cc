@@ -9,7 +9,8 @@
  * full decode pass over HW <= 10 syndromes must perform zero heap
  * allocations for the hardware decoders named in the issue: astrea,
  * astrea-g, greedy and lut. The same bar holds with per-decode tail
- * tracing armed and every trace retained, for the audit queue's
+ * tracing armed and every trace retained, with a capture armed (after
+ * the recent-decode ring's one allocation), for the audit queue's
  * producer side, for the fleet's ingest -> decode -> account ->
  * verdict-send path as the decode service composes it, and for the
  * fleet client's frame encoding.
@@ -224,9 +225,30 @@ TEST(AllocCounter, TracedDecodeIsAllocationFree)
     EXPECT_GE(telemetry::TraceStore::global().counters().kept,
               3 * static_cast<uint64_t>(syndromes.size()));
 
+    // With a capture armed, the tracer also keeps its recent-decode
+    // ring: one allocation on the thread's first armed batch, then
+    // nothing for shots that trigger no capture, with tracing off or
+    // on.
     telemetry::TraceRetentionConfig off;
     off.enabled = false;
     telemetry::setTraceRetention(off);
+    telemetry::TraceStore &store = telemetry::TraceStore::global();
+    store.setCaptureDir(::testing::TempDir());
+    const uint64_t written = store.capturesWritten();
+    const uint64_t first_armed = allocCount();
+    pass(3000);
+    EXPECT_EQ(allocCount() - first_armed, 1u)
+        << "the ring should be the armed tracer's one allocation";
+    const uint64_t armed = allocCount();
+    pass(4000);
+    telemetry::setTraceRetention(tc);
+    pass(5000);
+    const uint64_t armed_allocs = allocCount() - armed;
+    store.setCaptureDir("");
+    telemetry::setTraceRetention(off);
+    EXPECT_EQ(armed_allocs, 0u)
+        << "capture-armed decode allocated " << armed_allocs << " times";
+    EXPECT_EQ(store.capturesWritten(), written);
 }
 
 TEST(AllocCounter, AuditEnqueueIsAllocationFree)

@@ -5,7 +5,7 @@
  * oracle correctness in both weight domains, shot classification
  * (optimal / suboptimal / observable-mismatch / weight-underrun),
  * give-up oracle coverage, drop accounting, weight-table rebinding,
- * flight-recorder capture on observable mismatch, and the decode
+ * the trace-store capture on observable mismatch, and the decode
  * service's schema-v2 audit surfaces.
  */
 
@@ -24,8 +24,8 @@
 #include "harness/decode_service.hh"
 #include "harness/memory_experiment.hh"
 #include "harness/replay.hh"
-#include "telemetry/flight_recorder.hh"
 #include "telemetry/json_value.hh"
+#include "telemetry/trace_store.hh"
 
 namespace astrea
 {
@@ -95,7 +95,6 @@ testAuditConfig()
     AuditConfig cfg;
     cfg.sampleRate = 1.0;
     cfg.queueCapacity = 64;
-    cfg.captureMismatches = true;
     return cfg;
 }
 
@@ -133,7 +132,6 @@ TEST(AuditorTest, OracleDecodeFindsMinimumInBothBackends)
 
 TEST(AuditorTest, ClassifiesOptimalSuboptimalAndMismatch)
 {
-    telemetry::FlightRecorder::setGlobalEnabled(false);
     GlobalWeightTable gwt = tinyGwt();
     AccuracyAuditor auditor(gwt, testAuditConfig());
 
@@ -283,11 +281,9 @@ TEST(AuditorTest, ObservableMismatchTriggersCaptureDir)
     fs::remove_all(dir);
     fs::create_directories(dir);
 
-    auto &fr = telemetry::FlightRecorder::global();
-    fr.beginRun("{\"distance\":3}", "{\"name\":\"Astrea\"}");
-    fr.setCaptureDir(dir);
-    fr.setCaptureRateLimit(8, 0);
-    telemetry::FlightRecorder::setGlobalEnabled(true);
+    auto &store = telemetry::TraceStore::global();
+    store.setRunInfo("{\"distance\":3}", "{\"name\":\"Astrea\"}");
+    store.setCaptureDir(dir, 8, 0);
 
     GlobalWeightTable gwt = tinyGwt();
     AccuracyAuditor auditor(gwt, testAuditConfig());
@@ -298,8 +294,7 @@ TEST(AuditorTest, ObservableMismatchTriggersCaptureDir)
     auditor.drainNow();
 
     // Disarm before any assertion can bail out of the test.
-    telemetry::FlightRecorder::setGlobalEnabled(false);
-    fr.setCaptureDir("");
+    store.setCaptureDir("");
 
     EXPECT_EQ(auditor.snapshot().captures, 1u);
     const std::string path = dir + "/capture-000.json";
@@ -310,16 +305,14 @@ TEST(AuditorTest, ObservableMismatchTriggersCaptureDir)
 
     telemetry::JsonValue doc;
     ASSERT_TRUE(telemetry::parseJson(ss.str(), doc));
-    EXPECT_EQ(doc["trigger"]["reason"].asString(), "audit_mismatch");
-    EXPECT_EQ(doc["trigger"]["shot"].asUint(), 5u);
-    ASSERT_FALSE(doc["records"].arr.empty());
-    const telemetry::JsonValue &rec = doc["records"].arr.back();
-    EXPECT_EQ(rec["shot"].asUint(), 5u);
-    EXPECT_EQ(rec["cycles"].asUint(), 30u);
-    EXPECT_TRUE(rec["audit"]["mismatch"].asBool(false));
-    EXPECT_EQ(rec["audit"]["oracle"].asString(), "dp");
-    EXPECT_DOUBLE_EQ(rec["audit"]["oracle_weight"].asNumber(0.0), 1.0);
-    EXPECT_EQ(rec["audit"]["oracle_obs"].asUint(0), 1u);
+    // The capture is the mismatched shot's trace detail document.
+    EXPECT_EQ(doc["trigger"].asString(), "audit_mismatch");
+    EXPECT_EQ(doc["shot"].asUint(), 5u);
+    EXPECT_EQ(doc["cycles"].asUint(), 30u);
+    EXPECT_TRUE(doc["audit"]["mismatch"].asBool(false));
+    EXPECT_EQ(doc["audit"]["oracle"].asString(), "dp");
+    EXPECT_DOUBLE_EQ(doc["audit"]["oracle_weight"].asNumber(0.0), 1.0);
+    EXPECT_EQ(doc["audit"]["oracle_obs"].asUint(0), 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -392,12 +385,10 @@ TEST(AuditorTest, MismatchCaptureReplaysAndNarratesDivergence)
     ExperimentContext ctx(cfg);
     auto decoder = makeDecoder("greedy", decoderOptionsFor(ctx));
 
-    auto &fr = telemetry::FlightRecorder::global();
-    fr.beginRun(experimentConfigJson(cfg),
-                decoderDescriptionJson(*decoder));
-    fr.setCaptureDir(dir);
-    fr.setCaptureRateLimit(4, 0);
-    telemetry::FlightRecorder::setGlobalEnabled(true);
+    auto &store = telemetry::TraceStore::global();
+    store.setRunInfo(experimentConfigJson(cfg),
+                     decoderDescriptionJson(*decoder));
+    store.setCaptureDir(dir, 4, 0);
 
     // Greedy reports exact-decade weights, so audit in that domain.
     AuditConfig acfg = testAuditConfig();
@@ -423,8 +414,7 @@ TEST(AuditorTest, MismatchCaptureReplaysAndNarratesDivergence)
         auditor.offer(s, 0, defects, dr, actual);
         auditor.drainNow();
     }
-    telemetry::FlightRecorder::setGlobalEnabled(false);
-    fr.setCaptureDir("");
+    store.setCaptureDir("");
 
     ASSERT_GT(auditor.snapshot().captures, 0u)
         << "greedy never diverged from the oracle observable";
@@ -435,7 +425,7 @@ TEST(AuditorTest, MismatchCaptureReplaysAndNarratesDivergence)
         loadCapture(dir + "/capture-000.json", capture, &error))
         << error;
     ASSERT_FALSE(capture.records.empty());
-    EXPECT_TRUE(capture.records.back().auditMismatch);
+    EXPECT_TRUE(capture.records.back().audit.mismatch);
     EXPECT_EQ(capture.triggerReason, "audit_mismatch");
 
     std::ostringstream narration;

@@ -165,19 +165,25 @@ TEST(TraceStoreTest, AnnotateAuditReachesRingAndExemplar)
     t.audited = true;
     store.keep(t);
 
-    EXPECT_FALSE(
-        store.annotateAudit(999, false, 0.0, 0.0, 0, 0));
-    EXPECT_TRUE(
-        store.annotateAudit(7, true, 0.25, 12.5, 0x2, 3));
+    TraceAuditVerdict v;
+    EXPECT_FALSE(store.annotateAudit(999, v));
+    v.mismatch = true;
+    v.gapDecades = 0.25;
+    v.oracleWeight = 12.5;
+    v.oracleObs = 0x2;
+    v.oracleDp = true;
+    v.quantized = false;
+    EXPECT_TRUE(store.annotateAudit(7, v));
 
     StoredTrace out;
     ASSERT_TRUE(store.find(7, &out));
     EXPECT_TRUE(out.auditDone);
-    EXPECT_TRUE(out.auditMismatch);
-    EXPECT_DOUBLE_EQ(out.auditGapDecades, 0.25);
-    EXPECT_DOUBLE_EQ(out.oracleWeight, 12.5);
-    EXPECT_EQ(out.oracleObs, 0x2u);
-    EXPECT_EQ(out.captureSeq, 3u);
+    EXPECT_TRUE(out.audit.mismatch);
+    EXPECT_DOUBLE_EQ(out.audit.gapDecades, 0.25);
+    EXPECT_DOUBLE_EQ(out.audit.oracleWeight, 12.5);
+    EXPECT_EQ(out.audit.oracleObs, 0x2u);
+    EXPECT_TRUE(out.audit.oracleDp);
+    EXPECT_FALSE(out.audit.quantized);
 }
 
 TEST(TraceStoreTest, IndexJsonFilters)
@@ -240,7 +246,11 @@ TEST(TraceStoreTest, DetailJsonCarriesSpansAuditAndRunInfo)
     t.spans[1] = TraceSpan{
         static_cast<uint8_t>(PerfStage::Matching), 3, 1500, 3000};
     store.keep(t);
-    ASSERT_TRUE(store.annotateAudit(9, false, 0.125, 10.0, 0, 0));
+    TraceAuditVerdict v;
+    v.gapDecades = 0.125;
+    v.oracleWeight = 10.0;
+    v.oracleDp = true;
+    ASSERT_TRUE(store.annotateAudit(9, v));
 
     const std::string text = store.detailJson(9);
     ASSERT_FALSE(text.empty());
@@ -258,6 +268,8 @@ TEST(TraceStoreTest, DetailJsonCarriesSpansAuditAndRunInfo)
     EXPECT_TRUE(doc["audit"]["done"].asBool(false));
     EXPECT_DOUBLE_EQ(
         doc["audit"]["weight_gap_decades"].asNumber(-1.0), 0.125);
+    EXPECT_EQ(doc["audit"]["oracle"].asString(""), "dp");
+    EXPECT_TRUE(doc["audit"]["quantized"].asBool(false));
     // The embedded run info is what `replay --trace-id` rebuilds from.
     EXPECT_EQ(doc["context"]["distance"].asUint(0), 5u);
     EXPECT_EQ(doc["decoder_config"]["name"].asString(""), "astrea");

@@ -20,11 +20,10 @@
  *       is the Astrea-G LER and 13th the time allotted for decoding.
  *
  * Beyond the artifact surface, `astrea_cli replay <capture.json>`
- * re-decodes a flight-recorder capture (see harness/replay.hh) and
- * asserts the recorded verdicts reproduce; --verbose narrates the
- * trigger decode and --all narrates every record. The replayer also
- * accepts a /traces/<id> trace-detail JSON (or a capture plus
- * --trace-id=HEX) and narrates that decode specifically.
+ * re-decodes a capture or a /traces/<id> trace-detail JSON (see
+ * harness/replay.hh) and asserts the recorded verdicts reproduce;
+ * --verbose narrates the trigger decode, --all narrates every record,
+ * and --trace-id=HEX narrates the record with that trace id.
  *
  * `astrea_cli serve` runs the live decode service (see
  * harness/decode_service.hh): a continuous memory-experiment workload

@@ -5,7 +5,8 @@ Input is the decode service's trace endpoints (telemetry/
 trace_store.hh): a /traces/<id> detail JSON renders as a waterfall of
 the decode's stage spans (gather -> matching -> verdict, offsets
 relative to the batch start), and a /traces index JSON renders as a
-table of the kept traces, slowest first. A bare http:// URL is fetched
+table of the kept traces, slowest first. A capture file is a detail
+document of its trigger and renders the same way. A bare http:// URL is fetched
 directly, so chasing an exemplar is one command:
 
   curl -H 'Accept: application/openmetrics-text' host:9500/metrics \\
@@ -72,9 +73,9 @@ def render_detail(doc, width=48, out=sys.stdout):
                   f", weight gap {gap:.4g} decades\n")
     elif audit.get("sampled"):
         out.write("  audit: sampled, verdict pending\n")
-    if doc.get("capture_seq", 0):
-        out.write(f"  flight-recorder capture seq "
-                  f"{doc['capture_seq']}\n")
+    if "trigger" in doc:
+        out.write(f"  capture trigger {doc['trigger']}, "
+                  f"{len(doc.get('recent', []))} recent decodes\n")
 
     if not spans:
         out.write("  (no spans recorded)\n")
@@ -154,7 +155,8 @@ DETAIL_FIXTURE = {
     "cycles": 870,
     "outcome": "ok",
     "reasons": ["slow", "audit"],
-    "capture_seq": 2,
+    "trigger": "logical_error",
+    "recent": [{"shot": 122}, {"shot": 123}],
     "audit": {"sampled": True, "done": True, "mismatch": False,
               "weight_gap_decades": 0.125, "oracle_weight": 10.5,
               "oracle_obs": 0},
@@ -198,7 +200,7 @@ def self_test():
     assert "5.12us" in text, text
     assert "slow,audit" in text, text
     assert "weight gap 0.125 decades" in text, text
-    assert "capture seq 2" in text, text
+    assert "capture trigger logical_error, 2 recent decodes" in text, text
     # The matching bar must be longer than the verdict bar.
     bars = {line.split()[0]: line.count(BAR)
             for line in text.splitlines() if BAR in line}
