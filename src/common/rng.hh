@@ -2,8 +2,8 @@
  * @file
  * Pseudo-random number generation for Monte-Carlo sampling.
  *
- * The simulator needs a fast, splittable generator so that worker threads
- * can draw independent streams from a single user-provided seed. We use
+ * The simulator needs a fast, splittable generator so that blocks of
+ * shots can draw independent streams from a single user-provided seed. We use
  * xoshiro256** (Blackman & Vigna) seeded through SplitMix64, which is the
  * standard construction for initializing xoshiro state.
  */
@@ -57,7 +57,8 @@ class Rng
     uint64_t geometricSkip(double p);
 
     /**
-     * Derive an independent child generator for worker thread i.
+     * Derive an independent child generator for stream i (the harness
+     * gives each block of shots its own).
      *
      * Children are created by re-seeding through SplitMix64 with a
      * stream-index perturbation, which is sufficient decorrelation for

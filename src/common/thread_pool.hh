@@ -3,11 +3,12 @@
  * Minimal fork-join helper for Monte-Carlo sharding, plus a small
  * persistent task pool.
  *
- * The experiment harness splits shot budgets across hardware threads;
- * each worker gets an index so it can derive an independent RNG stream
- * and a private accumulator that the caller merges afterwards. A full
- * work-stealing pool would be overkill: every parallel region here is a
- * single embarrassingly-parallel loop of equal-cost chunks.
+ * parallelFor splits a loop of equal-cost items (the GWT build's rows)
+ * into one contiguous chunk per thread. A full work-stealing pool
+ * would be overkill: every parallel region here is a single
+ * embarrassingly-parallel loop. The harness's sampled loops claim
+ * fixed blocks of shots instead (harness/block_engine.hh), so their
+ * results do not depend on the thread count.
  *
  * ThreadPool serves the opposite shape — long-lived workers fed an
  * unbounded stream of small tasks (e.g. deferred telemetry work) —

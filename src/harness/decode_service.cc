@@ -256,10 +256,7 @@ DecodeServiceCore::setTickFunction(std::function<uint64_t()> tick)
 std::unique_ptr<DecodeServiceCore::Worker>
 DecodeServiceCore::makeWorker(unsigned index)
 {
-    auto w = std::make_unique<Worker>();
-    w->index = index;
-    w->rng = Rng(config_.seed).split(index);
-    return w;
+    return std::make_unique<Worker>(config_.seed, index);
 }
 
 void
@@ -276,105 +273,50 @@ DecodeServiceCore::decodeBatch(Worker &w, uint64_t shots)
         // First shot, or the workload was reconfigured mid-run.
         w.ctx = ctx;
         w.decoder = factory_(*ctx);
-        w.dets = BitVec(ctx->circuit().numDetectors());
-        w.obs = BitVec(ctx->circuit().numObservables());
     }
 
-    w.batch.clear();
-    w.actuals.clear();
-    for (uint64_t i = 0; i < shots; i++) {
-        ctx->sampler().sample(w.rng, w.dets, w.obs);
-        w.dets.onesIndicesInto(w.scratch.defects);
-        w.batch.add(w.scratch.defects);
-        uint64_t actual = 0;
-        w.obs.onesIndicesInto(w.obsIndices);
-        for (auto o : w.obsIndices)
-            actual |= (1ull << o);
-        w.actuals.push_back(actual);
-    }
-
-    // Arm the per-thread tracer for this batch: trace ids are a
-    // deterministic function of (run seed, worker, shot number), so
-    // re-running the workload reproduces them.
-    telemetry::DecodeTracer &tracer = telemetry::decodeTracer();
-    tracer.beginBatch(w.index, w.shots, config_.decoder.c_str(),
-                      config_.seed +
-                          0x9E3779B97F4A7C15ull * (w.index + 1));
-
-    {
-        // Batch-level counters are always live (the section cost
-        // amortizes over the whole batch).
-        telemetry::PerfSection sec(telemetry::PerfStage::Batch, shots);
-        w.decoder->decodeBatch(w.batch, w.results, w.scratch);
-    }
-
-    for (uint64_t i = 0; i < shots; i++) {
-        const size_t hw = w.batch.hw(i);
-        const uint64_t tick = tick_();
-        const uint64_t trace_id =
-            tracer.active() ? tracer.shotId(static_cast<uint32_t>(i))
-                            : 0;
-
-        double latency_ns = 0.0;
-        bool gave_up = false;
-        bool logical_error = false;
-        bool audited = false;
-        if (hw > 0) {
-            const DecodeResult &dr = w.results[i];
-            latency_ns = dr.latencyNs;
-            gave_up = dr.gaveUp;
-            logical_error = (dr.obsMask != w.actuals[i]);
-            nontrivialTotal_.fetch_add(1, std::memory_order_relaxed);
-
-            // Shadow audit: copy-only, drop-not-block, off hot path.
-            audited = audit_->offer(w.shots, w.index, w.batch.at(i),
-                                    dr, w.actuals[i], trace_id);
-        }
-
-        if (tracer.active()) {
-            // Tail-retention verdict, now that the outcome is known.
-            telemetry::TraceShotOutcome out;
-            out.latencyNs = latency_ns;
-            out.gaveUp = gave_up;
-            out.logicalError = logical_error;
-            out.audited = audited;
-            out.actualObs = w.actuals[i];
-            if (hw > 0) {
-                const DecodeResult &dr = w.results[i];
-                out.cycles = dr.cycles;
-                out.matchingWeight = dr.matchingWeight;
-                out.obsMask = dr.obsMask;
+    for (uint64_t n = 0; shots > 0; shots -= n) {
+        if (w.stream.remaining() == 0)
+            w.stream.nextBlock(nextBlock_);  // An endless stream.
+        n = std::min(shots, w.stream.remaining());
+        w.stream.decode(*ctx, n, *w.decoder, config_.decoder.c_str(),
+                        audit_.get(),
+                        [this](uint64_t, telemetry::TraceShotOutcome &o) {
+            if (o.hw == 0) {
+                // A shot without defects is not decoded here: it takes
+                // 0 ns and is neither a give-up nor a logical error.
+                o = {.actualObs = o.actualObs, .defects = o.defects};
+            } else {
+                nontrivialTotal_.fetch_add(1, std::memory_order_relaxed);
             }
-            auto sp = w.batch.at(i);
-            out.defects = sp.data();
-            out.hw = static_cast<uint32_t>(sp.size());
-            tracer.finishShot(static_cast<uint32_t>(i), out);
-        }
 
-        decodesTotal_.fetch_add(1, std::memory_order_relaxed);
-        decodesWin_.add(tick);
-        latencyWin_.record(tick, latency_ns);
-        drift_.record(hw);
-        ASTREA_HIST_ADD("experiment.hamming_weight", hw);
+            const uint64_t tick = tick_();
+            decodesTotal_.fetch_add(1, std::memory_order_relaxed);
+            decodesWin_.add(tick);
+            latencyWin_.record(tick, o.latencyNs);
+            drift_.record(o.hw);
+            ASTREA_HIST_ADD("experiment.hamming_weight", o.hw);
 
-        if (latency_ns > config_.budgetNs) {
-            deadlineMissesTotal_.fetch_add(1, std::memory_order_relaxed);
-            missesWin_.add(tick);
-        }
-        if (gave_up) {
-            giveUpsTotal_.fetch_add(1, std::memory_order_relaxed);
-            giveUpsWin_.add(tick);
-            // Same family the streaming bench reports, so dashboards
-            // for the service and for bench reports line up.
-            ASTREA_COUNTER_INC("experiment.give_ups");
-        }
-        if (logical_error) {
-            logicalErrorsTotal_.fetch_add(1, std::memory_order_relaxed);
-            logicalErrorsWin_.add(tick);
-        }
-        w.shots++;
+            if (o.latencyNs > config_.budgetNs) {
+                deadlineMissesTotal_.fetch_add(1,
+                                               std::memory_order_relaxed);
+                missesWin_.add(tick);
+            }
+            if (o.gaveUp) {
+                giveUpsTotal_.fetch_add(1, std::memory_order_relaxed);
+                giveUpsWin_.add(tick);
+                // Same family the streaming bench reports, so
+                // dashboards for the service and for bench reports
+                // line up.
+                ASTREA_COUNTER_INC("experiment.give_ups");
+            }
+            if (o.logicalError) {
+                logicalErrorsTotal_.fetch_add(1,
+                                              std::memory_order_relaxed);
+                logicalErrorsWin_.add(tick);
+            }
+        });
     }
-    tracer.endBatch();
 
     // Refresh the tracer's auto tail threshold from the rolling p99
     // occasionally; until the window has data the slow criterion stays

@@ -43,6 +43,7 @@
 #include <vector>
 
 #include "audit/auditor.hh"
+#include "harness/block_engine.hh"
 #include "harness/fleet.hh"
 #include "harness/memory_experiment.hh"
 #include "net/http_server.hh"
@@ -187,7 +188,7 @@ class DecodeServiceCore
     explicit DecodeServiceCore(const ServeConfig &config);
     ~DecodeServiceCore();
 
-    /** Per-worker decode state (context, decoder, RNG stream). */
+    /** Per-worker decode state (context, decoder, shot stream). */
     struct Worker;
 
     std::unique_ptr<Worker> makeWorker(unsigned index);
@@ -196,10 +197,12 @@ class DecodeServiceCore
     void decodeOnce(Worker &w);
 
     /**
-     * Batch path the worker threads run: sample `shots` shots into the
-     * worker's SyndromeBatch, decode them through the allocation-free
-     * Decoder::decodeBatch, then account each shot exactly as
-     * decodeOnce() does. Steady state allocates nothing per shot.
+     * Batch path the worker threads run: sample the worker's next
+     * `shots` shots and decode them on the block engine
+     * (harness/block_engine.hh), then account each shot exactly as
+     * decodeOnce() does. Workers take the blocks of one shot stream
+     * from the seed, in claim order, so a lone worker decodes shots 0,
+     * 1, 2, ... of it. Steady state allocates nothing per shot.
      */
     void decodeBatch(Worker &w, uint64_t shots);
 
@@ -278,6 +281,8 @@ class DecodeServiceCore
     std::atomic<uint64_t> deadlineMissesTotal_{0};
     std::atomic<uint64_t> batchesDone_{0};
     std::atomic<bool> healthy_{true};
+    /** The next block of the shot stream a synthetic worker claims. */
+    std::atomic<uint64_t> nextBlock_{0};
 
     telemetry::RollingCounter decodesWin_;
     telemetry::RollingCounter logicalErrorsWin_;
@@ -291,20 +296,14 @@ class DecodeServiceCore
 /** makeWorker()'s opaque state, public so the CLI can embed workers. */
 struct DecodeServiceCore::Worker
 {
-    unsigned index = 0;
-    Rng rng{0};
+    Worker(uint64_t seed, unsigned index) : stream(seed, UINT64_MAX, index)
+    {
+    }
+
     std::shared_ptr<const ExperimentContext> ctx;
     std::unique_ptr<Decoder> decoder;
-    BitVec dets;
-    BitVec obs;
-    uint64_t shots = 0;
-
-    // Reused batch-path buffers (steady state allocates nothing).
-    SyndromeBatch batch;
-    std::vector<DecodeResult> results;
-    DecodeScratch scratch;
-    std::vector<uint64_t> actuals;
-    std::vector<uint32_t> obsIndices;
+    /** The block of the service's shot stream this worker holds. */
+    ShotStream stream;
 };
 
 /**

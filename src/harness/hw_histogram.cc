@@ -2,7 +2,7 @@
 
 #include <mutex>
 
-#include "common/thread_pool.hh"
+#include "harness/block_engine.hh"
 #include "surface_code/memory_circuit.hh"
 
 namespace astrea
@@ -23,23 +23,17 @@ HwDistribution
 measureHwDistribution(const ExperimentContext &ctx, uint64_t shots,
                       uint64_t seed, unsigned threads)
 {
-    if (threads == 0)
-        threads = defaultWorkerCount();
-    Rng root(seed);
-
     HwDistribution dist;
     dist.shots = shots;
     std::mutex merge_mutex;
-
-    parallelFor(shots, threads,
-                [&](unsigned worker, uint64_t begin, uint64_t end) {
-        Rng rng = root.split(worker);
+    runBlocks(blockCount(shots, kBlockShots), threads,
+              [&](unsigned worker, std::atomic<uint64_t> &next_block) {
         Histogram local(64);
-        BitVec dets(ctx.circuit().numDetectors());
-        BitVec obs(ctx.circuit().numObservables());
-        for (uint64_t s = begin; s < end; s++) {
-            ctx.sampler().sample(rng, dets, obs);
-            local.add(dets.popcount());
+        ShotStream stream(seed, shots, worker);
+        while (stream.nextBlock(next_block)) {
+            stream.sample(ctx, stream.remaining(),
+                          [&](uint64_t, std::span<const uint32_t> defects,
+                              uint64_t) { local.add(defects.size()); });
         }
         std::lock_guard<std::mutex> lock(merge_mutex);
         dist.hist.merge(local);

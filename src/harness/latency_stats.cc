@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <mutex>
 
-#include "common/thread_pool.hh"
-#include "harness/memory_experiment.hh"
+#include "harness/block_engine.hh"
 #include "telemetry/telemetry.hh"
 
 namespace astrea
@@ -111,38 +109,31 @@ measureLatencyDistribution(const ExperimentContext &ctx,
                            const DecoderFactory &factory, uint64_t shots,
                            uint64_t seed, unsigned threads)
 {
-    if (threads == 0)
-        threads = defaultWorkerCount();
-    Rng root(seed);
-
     ASTREA_SPAN("latency_distribution");
     // 50 ns buckets up to 100 us: software MWPM routinely exceeds the
     // old 10 us default, which pushed its p90/p99 into the overflow
     // fallback (reporting the observed max instead of an estimate).
     LatencyHistogram total(50.0, 100000.0);
-    std::mutex merge_mutex;
-
-    parallelFor(shots, threads,
-                [&](unsigned worker, uint64_t begin, uint64_t end) {
-        Rng rng = root.split(worker);
+    BlockOrderMerge<LatencyHistogram> merged(total);
+    runBlocks(blockCount(shots, kBlockShots), threads,
+              [&](unsigned worker, std::atomic<uint64_t> &next_block) {
         auto decoder = factory(ctx);
-        LatencyHistogram local(50.0, 100000.0);
-        BitVec dets(ctx.circuit().numDetectors());
-        BitVec obs(ctx.circuit().numObservables());
-        DecodeResult dr;
-        DecodeScratch scratch;
-        for (uint64_t s = begin; s < end; s++) {
-            ctx.sampler().sample(rng, dets, obs);
-            dets.onesIndicesInto(scratch.defects);
-            if (scratch.defects.empty())
-                continue;
-            decoder->decodeInto(scratch.defects, dr, scratch);
-            local.add(dr.latencyNs);
-            ASTREA_LATENCY_NS("experiment.nontrivial_decode_ns",
-                              dr.latencyNs);
+        const std::string decoder_name = decoder->name();
+        ShotStream stream(seed, shots, worker);
+        while (stream.nextBlock(next_block)) {
+            LatencyHistogram part(50.0, 100000.0);
+            stream.decode(ctx, stream.remaining(), *decoder,
+                          decoder_name.c_str(), nullptr,
+                          [&](uint64_t,
+                              const telemetry::TraceShotOutcome &o) {
+                if (o.hw == 0)
+                    return;
+                part.add(o.latencyNs);
+                ASTREA_LATENCY_NS("experiment.nontrivial_decode_ns",
+                                  o.latencyNs);
+            });
+            merged.add(stream.block(), std::move(part));
         }
-        std::lock_guard<std::mutex> lock(merge_mutex);
-        total.merge(local);
     });
     ASTREA_COUNTER_ADD("experiment.latency_shots", shots);
     return total;

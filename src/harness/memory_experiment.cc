@@ -1,15 +1,10 @@
 #include "harness/memory_experiment.hh"
 
-#include <algorithm>
-#include <mutex>
-
 #include "audit/auditor.hh"
 #include "common/logging.hh"
-#include "common/thread_pool.hh"
 #include "dem/extractor.hh"
-#include "telemetry/decode_trace.hh"
+#include "harness/block_engine.hh"
 #include "telemetry/export.hh"
-#include "telemetry/perf_counters.hh"
 #include "telemetry/telemetry.hh"
 
 namespace astrea
@@ -176,13 +171,8 @@ runMemoryExperiment(const ExperimentContext &ctx,
                     const DecoderFactory &factory, uint64_t shots,
                     uint64_t seed, unsigned threads)
 {
-    if (threads == 0)
-        threads = defaultWorkerCount();
-    Rng root(seed);
-
     ASTREA_SPAN("experiment.run");
     ExperimentResult total;
-    std::mutex merge_mutex;
 
     if (telemetry::traceRetention().enabled ||
         telemetry::TraceStore::global().captureArmed()) {
@@ -208,108 +198,35 @@ runMemoryExperiment(const ExperimentContext &ctx,
         }
     }
 
-    parallelFor(shots, threads,
-                [&](unsigned worker, uint64_t begin, uint64_t end) {
-        Rng rng = root.split(worker);
+    BlockOrderMerge<ExperimentResult> merged(total);
+    runBlocks(blockCount(shots, kBlockShots), threads,
+              [&](unsigned worker, std::atomic<uint64_t> &next_block) {
         auto decoder = factory(ctx);
+        // Hoisted so the shot loop stays allocation-free.
+        const std::string decoder_name = decoder->name();
         telemetry::TraceWriter *trace = telemetry::globalTraceFast();
         const uint64_t trace_stride = telemetry::traceSampleStride();
-
-        ExperimentResult local;
-        BitVec dets(ctx.circuit().numDetectors());
-        BitVec obs(ctx.circuit().numObservables());
-
-        // Batch-oriented hot loop: sample a block of shots into one
-        // SyndromeBatch, decode it through the allocation-free batch
-        // path, then do the (cold) accounting. All buffers below are
-        // reused across blocks, so steady state allocates nothing.
-        constexpr uint64_t kBatchShots = 64;
-        SyndromeBatch batch;
-        std::vector<DecodeResult> results;
-        DecodeScratch scratch;
-        std::vector<uint64_t> actuals;
-        std::vector<uint32_t> obs_indices;
-
-        // Per-thread tail-sampling tracer (ASTREA_TRACE) and capture
-        // recorder (ASTREA_CAPTURE_*): ids derive from (seed, worker,
-        // shot), matching the serve path. The name is hoisted so the
-        // block loop stays allocation-free.
-        telemetry::DecodeTracer &tracer = telemetry::decodeTracer();
-        const std::string decoder_name = decoder->name();
-
-        for (uint64_t block = begin; block < end; block += kBatchShots) {
-            const uint64_t n = std::min(kBatchShots, end - block);
-            tracer.beginBatch(worker, block, decoder_name.c_str(),
-                              seed +
-                                  0x9E3779B97F4A7C15ull * (worker + 1));
-            batch.clear();
-            actuals.clear();
-            for (uint64_t i = 0; i < n; i++) {
-                ctx.sampler().sample(rng, dets, obs);
-                dets.onesIndicesInto(scratch.defects);
-                batch.add(scratch.defects);
-                uint64_t actual = 0;
-                obs.onesIndicesInto(obs_indices);
-                for (auto o : obs_indices)
-                    actual |= (1ull << o);
-                actuals.push_back(actual);
-            }
-
-            {
-                // Batch-level counters are always live (the section
-                // cost amortizes over the whole batch).
-                telemetry::PerfSection sec(telemetry::PerfStage::Batch,
-                                           n);
-                decoder->decodeBatch(batch, results, scratch);
-            }
-
-            for (uint64_t i = 0; i < n; i++) {
-                const uint64_t s = block + i;
-                const DecodeResult &dr = results[i];
-                const size_t hw = batch.hw(i);
-                const uint64_t trace_id =
-                    tracer.active()
-                        ? tracer.shotId(static_cast<uint32_t>(i))
-                        : 0;
-                local.hammingWeights.add(hw);
-                if (dr.gaveUp) {
-                    local.gaveUps++;
-                    local.gaveUpHw.add(hw);
+        ShotStream stream(seed, shots, worker);
+        while (stream.nextBlock(next_block)) {
+            ExperimentResult part;
+            stream.decode(ctx, stream.remaining(), *decoder,
+                          decoder_name.c_str(), auditor.get(),
+                          [&](uint64_t s,
+                              const telemetry::TraceShotOutcome &o) {
+                part.hammingWeights.add(o.hw);
+                if (o.gaveUp) {
+                    part.gaveUps++;
+                    part.gaveUpHw.add(o.hw);
                 }
+                part.logicalErrors.trials++;
+                if (o.logicalError)
+                    part.logicalErrors.successes++;
 
-                const uint64_t actual = actuals[i];
-                const bool error = (dr.obsMask != actual);
-
-                local.logicalErrors.trials++;
-                if (error)
-                    local.logicalErrors.successes++;
-
-                local.latencyNs.add(dr.latencyNs);
-                local.latencyHist.add(dr.latencyNs);
-                if (hw > 2) {
-                    local.latencyNontrivialNs.add(dr.latencyNs);
-                    local.latencyNontrivialHist.add(dr.latencyNs);
-                }
-
-                bool audited = false;
-                if (auditor != nullptr && hw > 0)
-                    audited = auditor->offer(s, worker, batch.at(i),
-                                             dr, actual, trace_id);
-
-                if (tracer.active()) {
-                    telemetry::TraceShotOutcome out;
-                    out.latencyNs = dr.latencyNs;
-                    out.cycles = dr.cycles;
-                    out.matchingWeight = dr.matchingWeight;
-                    out.obsMask = dr.obsMask;
-                    out.actualObs = actual;
-                    out.gaveUp = dr.gaveUp;
-                    out.logicalError = error;
-                    out.audited = audited;
-                    auto sp = batch.at(i);
-                    out.defects = sp.data();
-                    out.hw = static_cast<uint32_t>(sp.size());
-                    tracer.finishShot(static_cast<uint32_t>(i), out);
+                part.latencyNs.add(o.latencyNs);
+                part.latencyHist.add(o.latencyNs);
+                if (o.hw > 2) {
+                    part.latencyNontrivialNs.add(o.latencyNs);
+                    part.latencyNontrivialHist.add(o.latencyNs);
                 }
 
                 if (trace != nullptr && s % trace_stride == 0) {
@@ -318,31 +235,28 @@ runMemoryExperiment(const ExperimentContext &ctx,
                         .kv("type", "shot")
                         .kv("shot", s)
                         .kv("worker", uint64_t{worker})
-                        .kv("hw", uint64_t{hw})
-                        .kv("latency_ns", dr.latencyNs)
-                        .kv("gave_up", dr.gaveUp)
-                        .kv("logical_error", error)
+                        .kv("hw", uint64_t{o.hw})
+                        .kv("latency_ns", o.latencyNs)
+                        .kv("gave_up", o.gaveUp)
+                        .kv("logical_error", o.logicalError)
                         .endObject();
                     trace->line(w.str());
                 }
+            });
+
+            // Fold the block's tallies into the global registry once
+            // per block: the per-shot hot loop stays macro-free and the
+            // global counters still see every shot.
+            if (telemetry::enabled()) {
+                auto &reg = telemetry::MetricsRegistry::global();
+                reg.counter("experiment.shots")
+                    .add(part.logicalErrors.trials);
+                reg.counter("experiment.logical_errors")
+                    .add(part.logicalErrors.successes);
+                reg.counter("experiment.gave_ups").add(part.gaveUps);
             }
-            tracer.endBatch();
+            merged.add(stream.block(), std::move(part));
         }
-
-        // Fold the worker's tallies into the global registry once per
-        // chunk: the per-shot hot loop stays macro-free and the global
-        // counters still see every shot.
-        if (telemetry::enabled()) {
-            auto &reg = telemetry::MetricsRegistry::global();
-            reg.counter("experiment.shots")
-                .add(local.logicalErrors.trials);
-            reg.counter("experiment.logical_errors")
-                .add(local.logicalErrors.successes);
-            reg.counter("experiment.gave_ups").add(local.gaveUps);
-        }
-
-        std::lock_guard<std::mutex> lock(merge_mutex);
-        total.merge(local);
     });
 
     if (auditor != nullptr) {

@@ -157,8 +157,11 @@ struct ExperimentResult
  * @param ctx Configuration context.
  * @param factory Decoder under test.
  * @param shots Number of shots.
- * @param seed Root RNG seed (workers derive independent streams).
- * @param threads Worker count; 0 uses defaultWorkerCount().
+ * @param seed Root RNG seed. The result depends on it alone: shots
+ *        are drawn in fixed blocks, each from its own stream of the
+ *        seed (harness/block_engine.hh).
+ * @param threads Worker count; 0 uses defaultWorkerCount(). It sets
+ *        only the speed.
  */
 ExperimentResult runMemoryExperiment(const ExperimentContext &ctx,
                                      const DecoderFactory &factory,

@@ -4,11 +4,24 @@
 #include <mutex>
 
 #include "common/logging.hh"
-#include "common/thread_pool.hh"
 #include "dem/extractor.hh"
+#include "harness/block_engine.hh"
 
 namespace astrea
 {
+
+namespace
+{
+
+/**
+ * k-fault shots per estimator block. Chunks hold 100 to 20,000 shots,
+ * so the DEM-sampled runs' 16,384-shot blocks would leave most of a
+ * chunk to one worker; at 256 a 10,000-shot chunk is 40 blocks, which
+ * keeps 4 workers within a block of an even split.
+ */
+constexpr uint64_t kFaultBlockShots = 256;
+
+} // namespace
 
 std::vector<SemiAnalyticResult>
 estimateLerSemiAnalyticMulti(const ExperimentContext &ctx,
@@ -16,8 +29,6 @@ estimateLerSemiAnalyticMulti(const ExperimentContext &ctx,
                              const SemiAnalyticConfig &config)
 {
     ASTREA_CHECK(!factories.empty(), "no decoders given");
-    unsigned threads = config.threads ? config.threads
-                                      : defaultWorkerCount();
     // Every site outcome's symptoms, once per call; a shot's symptoms
     // are the XOR of its chosen outcomes' rows.
     const FaultSymptomTable table = buildFaultSymptomTable(ctx.circuit());
@@ -46,16 +57,18 @@ estimateLerSemiAnalyticMulti(const ExperimentContext &ctx,
     for (auto &r : results)
         r.tailMass = std::max(0.0, 1.0 - cum);
 
-    Rng root(config.seed);
+    const Rng root(config.seed);
 
     // Run `shots` trials with exactly k injected faults; adds each
-    // decoder's failures into `failures` (size n_dec).
+    // decoder's failures into `failures` (size n_dec). Block b of a
+    // chunk draws its shots from a generator seeded by (k, chunk, b)
+    // only, so the counts do not depend on the thread count.
     auto run_chunk = [&](uint32_t k, uint64_t chunk_id, uint64_t shots,
                          std::vector<uint64_t> &failures) {
         std::mutex merge_mutex;
-        parallelFor(shots, threads,
-                    [&](unsigned worker, uint64_t begin, uint64_t end) {
-            Rng rng = root.split(k * 131 + chunk_id * 7919 + worker);
+        const uint64_t blocks = blockCount(shots, kFaultBlockShots);
+        runBlocks(blocks, config.threads,
+                  [&](unsigned, std::atomic<uint64_t> &next_block) {
             std::vector<std::unique_ptr<Decoder>> decoders;
             decoders.reserve(n_dec);
             for (const auto &f : factories)
@@ -63,48 +76,60 @@ estimateLerSemiAnalyticMulti(const ExperimentContext &ctx,
             BitVec dets(ctx.circuit().numDetectors());
             std::vector<uint32_t> defects;
             std::vector<uint64_t> chosen;
-            std::vector<uint64_t> local_failures(n_dec, 0);
+            SyndromeBatch batch;
+            std::vector<uint64_t> actuals;
+            std::vector<DecodeResult> results;
+            DecodeScratch scratch;
 
-            for (uint64_t s = begin; s < end; s++) {
-                // Choose k distinct sites uniformly (rejection; k is
-                // tiny compared to the number of sites).
-                chosen.clear();
-                while (chosen.size() < k) {
-                    uint64_t c = rng.uniformInt(n_sites);
-                    if (std::find(chosen.begin(), chosen.end(), c) ==
-                        chosen.end()) {
-                        chosen.push_back(c);
+            for (uint64_t block;
+                 (block = next_block.fetch_add(1)) < blocks;) {
+                Rng rng = root.split(k).split(chunk_id).split(block);
+                const uint64_t n = std::min(
+                    kFaultBlockShots, shots - block * kFaultBlockShots);
+                batch.clear();
+                actuals.clear();
+                for (uint64_t s = 0; s < n; s++) {
+                    // Choose k distinct sites uniformly (rejection; k
+                    // is tiny compared to the number of sites).
+                    chosen.clear();
+                    while (chosen.size() < k) {
+                        uint64_t c = rng.uniformInt(n_sites);
+                        if (std::find(chosen.begin(), chosen.end(), c) ==
+                            chosen.end()) {
+                            chosen.push_back(c);
+                        }
                     }
-                }
-                std::sort(chosen.begin(), chosen.end());
+                    std::sort(chosen.begin(), chosen.end());
 
-                // One uniform outcome per chosen site, drawn in site
-                // order; X and Z errors have one outcome and draw
-                // nothing.
-                dets.clear();
-                uint64_t actual = 0;
-                for (auto c : chosen) {
-                    const uint32_t outcomes =
-                        faultOutcomeCount(table.sites[c].type);
-                    const uint64_t row =
-                        table.siteRow[c] +
-                        (outcomes > 1 ? rng.uniformInt(outcomes) : 0);
-                    for (uint32_t d : table.rowDetectors(row))
-                        dets.flip(d);
-                    actual ^= table.observables[row];
+                    // One uniform outcome per chosen site, drawn in
+                    // site order; X and Z errors have one outcome and
+                    // draw nothing.
+                    dets.clear();
+                    uint64_t actual = 0;
+                    for (auto c : chosen) {
+                        const uint32_t outcomes =
+                            faultOutcomeCount(table.sites[c].type);
+                        const uint64_t row =
+                            table.siteRow[c] +
+                            (outcomes > 1 ? rng.uniformInt(outcomes) : 0);
+                        for (uint32_t d : table.rowDetectors(row))
+                            dets.flip(d);
+                        actual ^= table.observables[row];
+                    }
+                    dets.onesIndicesInto(defects);
+                    batch.add(defects);
+                    actuals.push_back(actual);
                 }
-                dets.onesIndicesInto(defects);
 
                 for (size_t di = 0; di < n_dec; di++) {
-                    DecodeResult dr = decoders[di]->decode(defects);
-                    if (dr.obsMask != actual)
-                        local_failures[di]++;
+                    decoders[di]->decodeBatch(batch, results, scratch);
+                    uint64_t failed = 0;
+                    for (uint64_t s = 0; s < n; s++)
+                        failed += results[s].obsMask != actuals[s] ? 1 : 0;
+                    std::lock_guard<std::mutex> lock(merge_mutex);
+                    failures[di] += failed;
                 }
             }
-
-            std::lock_guard<std::mutex> lock(merge_mutex);
-            for (size_t di = 0; di < n_dec; di++)
-                failures[di] += local_failures[di];
         });
     };
 

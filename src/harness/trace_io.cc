@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "common/logging.hh"
+#include "harness/block_engine.hh"
 
 namespace astrea
 {
@@ -37,20 +38,22 @@ recordTrace(const ExperimentContext &ctx, uint64_t shots, uint64_t seed)
     SyndromeTrace trace;
     trace.numDetectors = ctx.circuit().numDetectors();
     trace.numObservables = ctx.circuit().numObservables();
-    trace.shots.reserve(shots);
-
-    Rng root(seed);
-    Rng rng = root.split(0);
-    BitVec dets(trace.numDetectors);
-    BitVec obs(trace.numObservables);
-    for (uint64_t s = 0; s < shots; s++) {
-        ctx.sampler().sample(rng, dets, obs);
-        TraceShot shot;
-        shot.defects = dets.onesIndices();
-        for (auto o : obs.onesIndices())
-            shot.observables |= (1ull << o);
-        trace.shots.push_back(std::move(shot));
-    }
+    // Each worker writes its blocks' shots in place, so the vector
+    // holds them in shot order at any thread count.
+    trace.shots.resize(shots);
+    runBlocks(blockCount(shots, kBlockShots), 0,
+              [&](unsigned worker, std::atomic<uint64_t> &next_block) {
+        ShotStream stream(seed, shots, worker);
+        while (stream.nextBlock(next_block)) {
+            stream.sample(ctx, stream.remaining(),
+                          [&](uint64_t s, std::span<const uint32_t> defects,
+                              uint64_t actual) {
+                trace.shots[s].defects.assign(defects.begin(),
+                                              defects.end());
+                trace.shots[s].observables = actual;
+            });
+        }
+    });
     return trace;
 }
 

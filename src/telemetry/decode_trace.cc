@@ -283,8 +283,7 @@ DecodeTracer::finishShot(uint32_t shot_idx,
     bool keep = false;
     if (keepTraces_) {
         store.noteConsidered();
-        decodeNo_++;
-        if (stride_ > 0 && decodeNo_ % stride_ == 0)
+        if (stride_ > 0 && (baseShot_ + shot_idx + 1) % stride_ == 0)
             reasons |= kTraceKeepStride;
         keep = reasons != 0;
         if (!keep)

@@ -62,7 +62,8 @@ struct TraceRetentionConfig
     bool enabled = false;
     /** Keep traces slower than this; 0 = auto (rolling p99). */
     double tailThresholdNs = 0.0;
-    /** Keep every Nth decode regardless; 0 disables head sampling. */
+    /** Keep every Nth shot, counted by its batch's base_shot plus its
+     *  in-batch index; 0 disables head sampling. */
     uint64_t headStride = 8192;
 
     /** Overlay ASTREA_TRACE_* environment knobs onto base. */
@@ -116,9 +117,11 @@ class DecodeTracer
     static constexpr uint32_t kRecentShots = 256;
 
     /**
-     * Arm tracing for one decodeBatch call on this thread. seed makes
-     * trace ids deterministic per (stream, shot): callers derive it
-     * from the run seed and the worker index. A no-op (the whole
+     * Arm tracing for one decodeBatch call on this thread. Trace ids
+     * hash seed + base_shot + the in-batch index: the harness passes
+     * the run seed and the batch's global shot index, so a shot's id,
+     * like the shots the head stride keeps, is the same at every
+     * thread count. stream only labels the trace. A no-op (the whole
      * batch records nothing) when retention is disabled and no
      * capture is armed.
      */
@@ -182,7 +185,6 @@ class DecodeTracer
     // Cached retention policy, copied once per batch.
     double tailNs_ = 0.0;
     uint64_t stride_ = 0;
-    uint64_t decodeNo_ = 0;  ///< Stride counter; survives batches.
 
     TraceSpan buf_[kBufSpans];
     uint32_t nBuf_ = 0;

@@ -113,7 +113,7 @@ struct TraceAuditVerdict
 struct StoredTrace
 {
     uint64_t traceId = 0;
-    uint64_t shot = 0;     ///< Worker-local shot number.
+    uint64_t shot = 0;     ///< Global shot index in its run.
     uint32_t stream = 0;   ///< Worker / stream id.
     uint32_t hw = 0;
     char decoder[kTraceDecoderLen] = {};

@@ -10,7 +10,8 @@
  * allocations for the hardware decoders named in the issue: astrea,
  * astrea-g, greedy and lut. The same bar holds with per-decode tail
  * tracing armed and every trace retained, with a capture armed (after
- * the recent-decode ring's one allocation), for the audit queue's
+ * the recent-decode ring's one allocation), for the harness's shot
+ * loop after a worker's first block, for the audit queue's
  * producer side, for the fleet's ingest -> decode -> account ->
  * verdict-send path as the decode service composes it, and for the
  * fleet client's frame encoding.
@@ -32,6 +33,7 @@
 #include "common/rng.hh"
 #include "common/thread_pool.hh"
 #include "decoders/registry.hh"
+#include "harness/block_engine.hh"
 #include "harness/decode_service.hh"
 #include "harness/fleet.hh"
 #include "harness/memory_experiment.hh"
@@ -249,6 +251,51 @@ TEST(AllocCounter, TracedDecodeIsAllocationFree)
     EXPECT_EQ(armed_allocs, 0u)
         << "capture-armed decode allocated " << armed_allocs << " times";
     EXPECT_EQ(store.capturesWritten(), written);
+}
+
+TEST(AllocCounter, BlockEngineShotLoopIsAllocationFree)
+{
+    // The harness's one shot loop (harness/block_engine.hh): sample,
+    // decodeBatch, sink, with the tracer armed and every trace kept.
+    // A worker's first block sizes its buffers; its next block must
+    // not touch the heap.
+    telemetry::TraceStore::global().configure(256);
+    telemetry::TraceRetentionConfig tc;
+    tc.enabled = true;
+    tc.tailThresholdNs = 1.0;
+    tc.headStride = 1;
+    telemetry::setTraceRetention(tc);
+
+    ExperimentConfig cfg;
+    cfg.distance = 3;
+    cfg.physicalErrorRate = 1e-3;
+    ExperimentContext ctx(cfg);
+    auto dec = makeDecoder("astrea", decoderOptionsFor(ctx));
+    ShotStream stream(11, 2 * kBlockShots, 0);
+    std::atomic<uint64_t> next_block{0};
+    uint64_t shots = 0, nontrivial = 0;
+    auto sink = [&](uint64_t, const telemetry::TraceShotOutcome &o) {
+        shots++;
+        nontrivial += o.hw > 0 ? 1 : 0;
+    };
+
+    ASSERT_TRUE(stream.nextBlock(next_block));
+    stream.decode(ctx, stream.remaining(), *dec, "astrea", nullptr, sink);
+    const uint64_t kept = telemetry::TraceStore::global().counters().kept;
+    const uint64_t before = allocCount();
+    ASSERT_TRUE(stream.nextBlock(next_block));
+    stream.decode(ctx, stream.remaining(), *dec, "astrea", nullptr, sink);
+    const uint64_t allocs = allocCount() - before;
+
+    telemetry::TraceRetentionConfig off;
+    off.enabled = false;
+    telemetry::setTraceRetention(off);
+    EXPECT_EQ(allocs, 0u) << "the second block allocated " << allocs
+                          << " times";
+    EXPECT_EQ(shots, 2 * kBlockShots);
+    EXPECT_GT(nontrivial, 0u);
+    EXPECT_EQ(telemetry::TraceStore::global().counters().kept - kept,
+              kBlockShots);
 }
 
 TEST(AllocCounter, AuditEnqueueIsAllocationFree)

@@ -213,9 +213,10 @@ TEST(CaptureTest, NewRunForgetsEarlierDecodes)
 
 TEST(CaptureTest, OneWorkerRunsOnTheCallersThreadStartFresh)
 {
-    // parallelFor runs a one-worker run on the caller's own thread, so
-    // its thread-local ring survives from one run to the next; the
-    // second run's first capture must still hold only its own shots.
+    // The block engine runs a one-worker run on the caller's own
+    // thread, so its thread-local ring survives from one run to the
+    // next; the second run's first capture must still hold only its
+    // own shots.
     CaptureGuard guard;
     TraceStore &store = TraceStore::global();
     StarvedRun run;

@@ -99,7 +99,7 @@ enum class Path
 
 /**
  * Decode every shot and tally the pin. The batch path decodes 64-shot
- * blocks, the block size of runMemoryExperiment.
+ * batches, the decodeBatch size of the harness's block engine.
  */
 Pin
 decodeAndPin(Decoder &dec, const Shots &s, Path path)

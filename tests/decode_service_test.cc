@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "harness/decode_service.hh"
+#include "harness/trace_io.hh"
 #include "net/http_client.hh"
 #include "telemetry/json_value.hh"
 #include "telemetry/trace_store.hh"
@@ -308,6 +309,50 @@ TEST(DecodeServiceCoreTest, TraceEndToEndExemplarResolvesToSpans)
     for (const auto &t : idx["traces"].arr)
         found |= t["trace_id"].asString("") == telemetry::traceIdHex(id);
     EXPECT_TRUE(found);
+}
+
+TEST(DecodeServiceCoreTest, WorkerDecodesTheSeedsShotStream)
+{
+    // A lone worker claims blocks 0, 1, ... of the seed's shot stream,
+    // so its decodes are recordTrace()'s shots of the same seed, shot
+    // for shot, across the boundary between blocks 0 and 1. Stride 1
+    // keeps every decode's trace; the ring holds the last 128.
+    ServeConfig cfg = testConfig();
+    cfg.traceStride = 1;
+    cfg.traceRing = 128;
+    DecodeServiceCore core(cfg);
+    uint64_t tick = 0;
+    core.setTickFunction([&tick] { return tick; });
+
+    const uint64_t shots = kBlockShots + 64;
+    auto w = core.makeWorker(0);
+    for (uint64_t i = 0; i < shots; i++)
+        core.decodeOnce(*w);
+
+    ExperimentConfig ec;
+    ec.distance = cfg.distance;
+    ec.physicalErrorRate = cfg.physicalErrorRate;
+    const SyndromeTrace trace =
+        recordTrace(ExperimentContext(ec), shots, cfg.seed);
+    const std::vector<telemetry::StoredTrace> kept =
+        telemetry::TraceStore::global().snapshot();
+    ASSERT_EQ(kept.size(), cfg.traceRing);
+    std::vector<uint64_t> seen;
+    for (const telemetry::StoredTrace &t : kept) {
+        ASSERT_LT(t.shot, shots);
+        SCOPED_TRACE(::testing::Message() << "shot " << t.shot);
+        const TraceShot &want = trace.shots[t.shot];
+        ASSERT_EQ(t.hw, want.defects.size());
+        EXPECT_EQ(std::vector<uint32_t>(t.defects, t.defects + t.hw),
+                  want.defects);
+        EXPECT_EQ(t.actualObs, want.observables);
+        EXPECT_EQ(t.stream, 0u);
+        seen.push_back(t.shot);
+    }
+    std::sort(seen.begin(), seen.end());
+    EXPECT_EQ(seen.front(), shots - cfg.traceRing);
+    EXPECT_EQ(seen.back(), shots - 1);
+    EXPECT_EQ(std::adjacent_find(seen.begin(), seen.end()), seen.end());
 }
 
 TEST(DecodeServiceCoreTest, FlushAccountingMatchesPerShotAccounting)

@@ -10,8 +10,8 @@
  * ExtractionStats counts and a digest over every mechanism in order
  * (sorted detectors, observable mask, probability bit pattern). They
  * also pin the semi-analytic estimator's per-k failure counts for a
- * fixed seed and thread count. The values were recorded once and the
- * code must reproduce them exactly.
+ * fixed seed, the same at 1, 2 and 4 threads. The values were recorded
+ * once and the code must reproduce them exactly.
  *
  * The oracle tests hold the backward sweep's symptom table to forward
  * frame simulation: every row to propagateInjection() of its outcome,
@@ -196,19 +196,24 @@ struct EstimatorPin
     std::vector<uint64_t> astreaGFailures;
 };
 
+/** Holds the pin at 1, 2 and 4 threads: blocks, not workers, seed shots. */
 void
-expectEstimatorPin(const SemiAnalyticConfig &cfg, const EstimatorPin &pin)
+expectEstimatorPin(SemiAnalyticConfig cfg, const EstimatorPin &pin)
 {
     ExperimentConfig ec;
     ec.distance = 5;
     ec.physicalErrorRate = 1e-3;
     const ExperimentContext ctx(ec);
-    const auto r = estimateLerSemiAnalyticMulti(
-        ctx, {mwpmFactory(), astreaGFactory()}, cfg);
-    ASSERT_EQ(r.size(), 2u);
-    EXPECT_EQ(r[0].shotsUsed, pin.shotsUsed);
-    EXPECT_EQ(r[0].failuresSeen, pin.mwpmFailures);
-    EXPECT_EQ(r[1].failuresSeen, pin.astreaGFailures);
+    for (unsigned threads : {1u, 2u, 4u}) {
+        SCOPED_TRACE(::testing::Message() << "threads=" << threads);
+        cfg.threads = threads;
+        const auto r = estimateLerSemiAnalyticMulti(
+            ctx, {mwpmFactory(), astreaGFactory()}, cfg);
+        ASSERT_EQ(r.size(), 2u);
+        EXPECT_EQ(r[0].shotsUsed, pin.shotsUsed);
+        EXPECT_EQ(r[0].failuresSeen, pin.mwpmFailures);
+        EXPECT_EQ(r[1].failuresSeen, pin.astreaGFailures);
+    }
 }
 
 TEST(SemiAnalyticPin, FixedBudgetD5)
@@ -217,11 +222,10 @@ TEST(SemiAnalyticPin, FixedBudgetD5)
     cfg.maxFaults = 8;
     cfg.shotsPerK = 3000;
     cfg.seed = 0x5a5;
-    cfg.threads = 2;
     expectEstimatorPin(
         cfg, {{0, 3000, 3000, 3000, 3000, 3000, 3000, 3000, 3000},
-              {0, 0, 0, 2, 15, 41, 77, 119, 193},
-              {0, 0, 0, 2, 13, 41, 78, 118, 194}});
+              {0, 0, 0, 5, 19, 48, 82, 127, 180},
+              {0, 0, 0, 5, 19, 48, 81, 129, 182}});
 }
 
 TEST(SemiAnalyticPin, AdaptiveBudgetD5)
@@ -234,10 +238,9 @@ TEST(SemiAnalyticPin, AdaptiveBudgetD5)
     cfg.targetFailures = 40;
     cfg.maxShotsPerK = 4000;
     cfg.seed = 0xada;
-    cfg.threads = 2;
-    expectEstimatorPin(cfg, {{0, 4000, 4000, 4000, 4000, 3000, 2000, 1000},
-                             {0, 0, 0, 9, 27, 40, 48, 40},
-                             {0, 0, 0, 10, 26, 40, 53, 40}});
+    expectEstimatorPin(cfg, {{0, 4000, 4000, 4000, 4000, 3000, 3000, 2000},
+                             {0, 0, 0, 4, 21, 42, 55, 86},
+                             {0, 0, 0, 4, 22, 42, 55, 84}});
 }
 
 // ------------------------------------------------ frame-simulator oracle

@@ -2,14 +2,20 @@
  * @file
  * Tests for the experiment harness: shot loops, Hamming-weight
  * histograms and their analytic model, latency histograms, the
- * semi-analytic estimator, and the sweep helpers.
+ * semi-analytic estimator, and the sweep helpers. The sampled loops
+ * must give identical results at 1, 2 and 4 threads.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <mutex>
+#include <tuple>
+#include <vector>
 
 #include "astrea/resource_model.hh"
+#include "harness/block_engine.hh"
 #include "harness/hw_histogram.hh"
 #include "harness/latency_stats.hh"
 #include "harness/memory_experiment.hh"
@@ -42,23 +48,157 @@ TEST(MemoryExperiment, ShotAccounting)
     EXPECT_EQ(r.latencyNs.count(), 5000u);
 }
 
-TEST(MemoryExperiment, DeterministicForFixedSeedAndThreads)
+/** SplitMix64's finalizer, as count_pin_test's digest uses it. */
+uint64_t
+mix(uint64_t x)
 {
-    auto a = runMemoryExperiment(d3Context(), mwpmFactory(), 2000, 7, 2);
-    auto b = runMemoryExperiment(d3Context(), mwpmFactory(), 2000, 7, 2);
-    EXPECT_EQ(a.logicalErrors.successes, b.logicalErrors.successes);
-    EXPECT_EQ(a.hammingWeights.at(2), b.hammingWeights.at(2));
+    x ^= x >> 30;
+    x *= 0xbf58476d1ce4e5b9ull;
+    x ^= x >> 27;
+    x *= 0x94d049bb133111ebull;
+    return x ^ (x >> 31);
 }
 
-TEST(MemoryExperiment, ThreadCountDoesNotBiasLer)
+/** One decoded shot: its defects, then its verdict. */
+using ShotRecord = std::tuple<std::vector<uint32_t>, uint64_t, bool>;
+
+/** Wraps a decoder and records every shot it decodes into a log. */
+class RecordingDecoder : public Decoder
 {
-    auto a = runMemoryExperiment(d3Context(), mwpmFactory(), 40000, 3, 1);
-    auto b = runMemoryExperiment(d3Context(), mwpmFactory(), 40000, 3, 4);
-    // Different shard RNGs, same distribution: LERs agree within noise.
-    double rate_a = a.ler(), rate_b = b.ler();
-    EXPECT_LT(std::abs(rate_a - rate_b),
-              5 * std::sqrt(rate_a / 40000.0 + rate_b / 40000.0) +
-                  1e-4);
+  public:
+    RecordingDecoder(std::unique_ptr<Decoder> inner,
+                     std::vector<ShotRecord> &log, std::mutex &mu)
+        : inner_(std::move(inner)), log_(log), mu_(mu)
+    {
+    }
+
+    void
+    decodeInto(std::span<const uint32_t> defects, DecodeResult &out,
+               DecodeScratch &scratch) override
+    {
+        inner_->decodeInto(defects, out, scratch);
+        std::lock_guard<std::mutex> lock(mu_);
+        log_.emplace_back(std::vector<uint32_t>(defects.begin(),
+                                                defects.end()),
+                          out.obsMask, out.gaveUp);
+    }
+
+    void
+    decodeBatch(const SyndromeBatch &batch,
+                std::vector<DecodeResult> &results,
+                DecodeScratch &scratch) override
+    {
+        inner_->decodeBatch(batch, results, scratch);
+        std::lock_guard<std::mutex> lock(mu_);
+        for (size_t i = 0; i < batch.size(); i++) {
+            const auto d = batch.at(i);
+            log_.emplace_back(std::vector<uint32_t>(d.begin(), d.end()),
+                              results[i].obsMask, results[i].gaveUp);
+        }
+    }
+
+    std::string name() const override { return inner_->name(); }
+
+  private:
+    std::unique_ptr<Decoder> inner_;
+    std::vector<ShotRecord> &log_;
+    std::mutex &mu_;
+};
+
+/**
+ * count_pin_test's per-shot verdict digest over every shot a run
+ * decoded. Workers decode blocks in any order, so the records are
+ * sorted first: equal digests mean the same syndromes got the same
+ * verdicts.
+ */
+uint64_t
+verdictDigest(std::vector<ShotRecord> log)
+{
+    std::sort(log.begin(), log.end());
+    uint64_t digest = 0;
+    for (size_t shot = 0; shot < log.size(); shot++) {
+        const auto &[defects, obs_mask, gave_up] = log[shot];
+        digest = mix(digest ^ mix(shot) ^ mix(obs_mask + 1) ^
+                     (gave_up ? 0x5bd1e995ull : 0));
+    }
+    return digest;
+}
+
+void
+expectSameStats(const RunningStats &a, const RunningStats &b)
+{
+    EXPECT_EQ(a.count(), b.count());
+    EXPECT_EQ(a.mean(), b.mean());
+    EXPECT_EQ(a.variance(), b.variance());
+    EXPECT_EQ(a.min(), b.min());
+    EXPECT_EQ(a.max(), b.max());
+}
+
+void
+expectSameHistogram(const Histogram &a, const Histogram &b)
+{
+    ASSERT_EQ(a.maxKey(), b.maxKey());
+    for (size_t k = 0; k <= a.maxKey(); k++)
+        EXPECT_EQ(a.at(k), b.at(k)) << "key " << k;
+    EXPECT_EQ(a.overflow(), b.overflow());
+    EXPECT_EQ(a.total(), b.total());
+}
+
+void
+expectSameLatency(const LatencyHistogram &a, const LatencyHistogram &b)
+{
+    EXPECT_EQ(a.samples(), b.samples());
+    EXPECT_EQ(a.meanNs(), b.meanNs());
+    EXPECT_EQ(a.maxNs(), b.maxNs());
+    EXPECT_EQ(a.overflowCount(), b.overflowCount());
+    ASSERT_EQ(a.numBuckets(), b.numBuckets());
+    for (size_t i = 0; i < a.numBuckets(); i++) {
+        EXPECT_EQ(a.bucketFraction(i), b.bucketFraction(i))
+            << "bucket " << i;
+    }
+}
+
+/** Shots for the thread-count cases: 5 blocks, the last one partial. */
+constexpr uint64_t kFiveBlocks = 4 * kBlockShots + 1000;
+
+TEST(MemoryExperiment, SameResultAtEveryThreadCount)
+{
+    // Astrea with a lowered HW cap gives up on some shots, so every
+    // ExperimentResult field is exercised; its latencies are modeled
+    // cycles, so the running means must match to the bit.
+    AstreaConfig acfg;
+    acfg.maxHammingWeight = 4;
+    std::vector<ExperimentResult> results;
+    std::vector<uint64_t> digests;
+    for (unsigned threads : {1u, 2u, 4u}) {
+        std::vector<ShotRecord> log;
+        std::mutex mu;
+        const DecoderFactory inner = astreaFactory(acfg);
+        const DecoderFactory recording =
+            [&](const ExperimentContext &ctx) -> std::unique_ptr<Decoder> {
+            return std::make_unique<RecordingDecoder>(inner(ctx), log, mu);
+        };
+        results.push_back(runMemoryExperiment(d3Context(), recording,
+                                              kFiveBlocks, 7, threads));
+        ASSERT_EQ(log.size(), kFiveBlocks);
+        digests.push_back(verdictDigest(std::move(log)));
+    }
+    ASSERT_GT(results[0].gaveUps, 0u);
+    ASSERT_GT(results[0].logicalErrors.successes, 0u);
+    for (size_t i = 1; i < results.size(); i++) {
+        SCOPED_TRACE(::testing::Message() << "run " << i);
+        const ExperimentResult &a = results[0], &b = results[i];
+        EXPECT_EQ(digests[i], digests[0]);
+        EXPECT_EQ(a.logicalErrors.successes, b.logicalErrors.successes);
+        EXPECT_EQ(a.logicalErrors.trials, b.logicalErrors.trials);
+        expectSameHistogram(a.hammingWeights, b.hammingWeights);
+        expectSameStats(a.latencyNs, b.latencyNs);
+        expectSameStats(a.latencyNontrivialNs, b.latencyNontrivialNs);
+        expectSameLatency(a.latencyHist, b.latencyHist);
+        expectSameLatency(a.latencyNontrivialHist, b.latencyNontrivialHist);
+        EXPECT_EQ(a.gaveUps, b.gaveUps);
+        expectSameHistogram(a.gaveUpHw, b.gaveUpHw);
+    }
 }
 
 TEST(MemoryExperiment, ResultMerge)
@@ -76,12 +216,20 @@ TEST(MemoryExperiment, ResultMerge)
 
 TEST(HwHistogram, MeasuredFrequenciesSumToOne)
 {
-    HwDistribution dist = measureHwDistribution(d3Context(), 20000, 5);
-    EXPECT_EQ(dist.shots, 20000u);
-    double total = 0.0;
-    for (size_t h = 0; h <= dist.hist.maxKey(); h++)
-        total += dist.frequency(h);
-    EXPECT_NEAR(total, 1.0, 1e-9);
+    // The same histogram at 1, 2 and 4 threads.
+    const HwDistribution one =
+        measureHwDistribution(d3Context(), kFiveBlocks, 5, 1);
+    for (unsigned threads : {1u, 2u, 4u}) {
+        SCOPED_TRACE(::testing::Message() << "threads=" << threads);
+        HwDistribution dist =
+            measureHwDistribution(d3Context(), kFiveBlocks, 5, threads);
+        EXPECT_EQ(dist.shots, kFiveBlocks);
+        expectSameHistogram(dist.hist, one.hist);
+        double total = 0.0;
+        for (size_t h = 0; h <= dist.hist.maxKey(); h++)
+            total += dist.frequency(h);
+        EXPECT_NEAR(total, 1.0, 1e-9);
+    }
 }
 
 TEST(HwHistogram, AnalyticModelIsUpperBoundInTheTail)
@@ -168,13 +316,21 @@ TEST(LatencyHistogram, P999TracksExtremeTail)
 
 TEST(LatencyHistogram, MeasureDistributionSkipsTrivialShots)
 {
-    LatencyHistogram h = measureLatencyDistribution(
-        d3Context(), astreaFactory(), 20000, 13);
-    EXPECT_GT(h.samples(), 0u);
-    EXPECT_LT(h.samples(), 20000u);  // Zero-HW shots skipped.
-    // Astrea's worst case at d=3 is 32 ns (Fig. 9).
-    EXPECT_LE(h.maxNs(), 456.0);
-    EXPECT_DOUBLE_EQ(h.fractionAbove(1000.0), 0.0);
+    // The same histogram, modeled latencies and all, at 1, 2 and 4
+    // threads.
+    const LatencyHistogram one = measureLatencyDistribution(
+        d3Context(), astreaFactory(), kFiveBlocks, 13, 1);
+    for (unsigned threads : {1u, 2u, 4u}) {
+        SCOPED_TRACE(::testing::Message() << "threads=" << threads);
+        LatencyHistogram h = measureLatencyDistribution(
+            d3Context(), astreaFactory(), kFiveBlocks, 13, threads);
+        EXPECT_GT(h.samples(), 0u);
+        EXPECT_LT(h.samples(), kFiveBlocks);  // Zero-HW shots skipped.
+        // Astrea's worst case at d=3 is 32 ns (Fig. 9).
+        EXPECT_LE(h.maxNs(), 456.0);
+        EXPECT_DOUBLE_EQ(h.fractionAbove(1000.0), 0.0);
+        expectSameLatency(h, one);
+    }
 }
 
 TEST(SemiAnalytic, SingleFaultNeverFailsDistance3)

@@ -6,8 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
+#include <string>
 
 #include "decoders/mwpm_decoder.hh"
+#include "harness/block_engine.hh"
 #include "harness/trace_io.hh"
 
 namespace astrea
@@ -78,16 +81,25 @@ TEST(TraceIo, SaveLoadRoundTrip)
 TEST(TraceIo, ReplayMatchesLiveDecoding)
 {
     // Replaying a recorded trace must give exactly the same error
-    // count as the live experiment on the same seed (the harness and
-    // recordTrace share the per-worker stream layout for 1 thread).
+    // count as the live experiment on the same seed: both draw shot g
+    // from the same block stream, whichever of their 4 workers runs
+    // its block.
     const auto &ctx = traceContext();
-    const uint64_t shots = 2000;
+    const uint64_t shots = 2 * kBlockShots + 500;
+    const char *env = std::getenv("ASTREA_THREADS");
+    const std::string saved = env != nullptr ? env : "";
+    setenv("ASTREA_THREADS", "4", 1);  // recordTrace's worker count.
     SyndromeTrace trace = recordTrace(ctx, shots, 55);
+    if (env != nullptr)
+        setenv("ASTREA_THREADS", saved.c_str(), 1);
+    else
+        unsetenv("ASTREA_THREADS");
     MwpmDecoder dec(ctx.gwt());
     ReplayResult replay = replayTrace(trace, dec);
 
-    auto live = runMemoryExperiment(ctx, mwpmFactory(), shots, 55, 1);
+    auto live = runMemoryExperiment(ctx, mwpmFactory(), shots, 55, 4);
     EXPECT_EQ(replay.shots, shots);
+    EXPECT_GT(replay.logicalErrors, 0u);
     EXPECT_EQ(replay.logicalErrors, live.logicalErrors.successes);
 }
 

@@ -10,8 +10,8 @@ perf-regression gate.
 Two metric families are treated differently:
 
 * Latency percentiles (modeled cycles for the hardware decoders, so
-  deterministic given seed and thread count; wall-clock for software
-  baselines, so noisy). A relative increase beyond the per-metric
+  deterministic given the seed, at any thread count; wall-clock for
+  software baselines, so noisy). A relative increase beyond the per-metric
   threshold fails; improvements always pass.
 * Rates backed by event counts (ler, gave_ups). These are Monte-Carlo
   estimates: with fewer than --min-count events in both runs the
@@ -55,7 +55,7 @@ import sys
 # in the baseline are checked, so one list serves every bench schema.
 # Kinds: "latency" (relative limit --threshold), "rate" (relative limit
 # --rate-threshold, skipped below --min-count events), "exact" (must
-# match bit-for-bit: these are deterministic given seed and threads),
+# match bit-for-bit: these are deterministic given the seed),
 # "speedup" (a ratio that must not FALL more than --speedup-threshold
 # below the baseline; increases always pass).
 DEFAULT_METRICS = [
