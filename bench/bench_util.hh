@@ -73,8 +73,8 @@ printPaperRef(const char *label, const char *value)
  * the flag wins:
  *
  *  --log-level=LVL      logging threshold (debug/info/warn/error/off);
- *  --trace-file=PATH    JSONL span/shot trace (export.hh);
- *  --chrome-trace=PATH  Perfetto timeline (chrome_trace.hh);
+ *  --chrome-trace=PATH  Perfetto timeline of the kept decode traces'
+ *                       stage spans, written at exit (chrome_trace.hh);
  *  --perf-counters      per-stage hardware counters (perf_counters.hh;
  *                       degrades to a no-op where unavailable);
  *  --profile-out=PATH   collapsed-stack CPU profile of the whole run
@@ -82,24 +82,17 @@ printPaperRef(const char *label, const char *value)
  *                       get speedscope format);
  *  --profile-hz=N       sampling rate for --profile-out (default 199).
  *
- * Either trace flag switches telemetry collection on — a timeline
- * without spans would be empty.
+ * --chrome-trace switches trace retention on — a timeline of a store
+ * that keeps nothing would be empty.
  */
 inline void
 applyForensicsOptions(const Options &opts)
 {
     if (opts.has("log-level"))
         setLogLevel(logLevelFromString(opts.getString("log-level", "")));
-    if (opts.has("trace-file")) {
-        telemetry::setGlobalTraceFile(
-            opts.getString("trace-file", ""));
-        telemetry::setEnabled(true);
-    }
-    if (opts.has("chrome-trace")) {
-        telemetry::setGlobalChromeTraceFile(
+    if (opts.has("chrome-trace"))
+        telemetry::writeChromeTraceAtExit(
             opts.getString("chrome-trace", ""));
-        telemetry::setEnabled(true);
-    }
     if (opts.has("perf-counters"))
         telemetry::setPerfCountersEnabled(true);
     if (opts.has("profile-out")) {

@@ -6,7 +6,6 @@
 #include "astrea/lwt_tile.hh"
 #include "astrea/matching_tables.hh"
 #include "common/logging.hh"
-#include "telemetry/chrome_trace.hh"
 #include "telemetry/decode_trace.hh"
 #include "telemetry/perf_counters.hh"
 #include "telemetry/telemetry.hh"
@@ -183,7 +182,6 @@ void
 AstreaGDecoder::decodeInto(std::span<const uint32_t> defects,
                            DecodeResult &out, DecodeScratch &scratch)
 {
-    ASTREA_SPAN("astrea_g.decode");
     stats_.decodes++;
     ASTREA_COUNTER_INC("astrea_g.decodes");
     const uint32_t w = static_cast<uint32_t>(defects.size());
@@ -227,8 +225,6 @@ AstreaGDecoder::decodeBatch(const SyndromeBatch &batch,
         return;
     // The bookkeeping decodeInto() performs before delegating, in
     // bulk; the delegate's own counters advance inside the wide path.
-    // One span covers the whole wide segment rather than one per shot.
-    ASTREA_SPAN("astrea_g.decode");
     stats_.decodes += s.wideShots.size();
     ASTREA_COUNTER_ADD("astrea_g.decodes",
                        static_cast<uint64_t>(s.wideShots.size()));
@@ -277,7 +273,6 @@ AstreaGDecoder::decodePipeline(std::span<const uint32_t> defects,
         lwt[i].clear();
     uint64_t pairs_kept = 0, pairs_filtered = 0;
     {
-        ASTREA_SPAN("astrea_g.lwt_filter");
         // Still the gather stage; shots = 0 so the decode itself is
         // only counted once (by the tile.build section above).
         telemetry::PerfSection sec(telemetry::PerfStage::Gather, 0,
@@ -324,13 +319,9 @@ AstreaGDecoder::decodePipeline(std::span<const uint32_t> defects,
     const uint64_t full_mask =
         (m == 64) ? ~0ull : ((1ull << m) - 1);
 
-    telemetry::ChromeTraceWriter *chrome =
-        telemetry::globalChromeTraceFast();
-
     uint64_t iterations = 0;
     uint64_t requeues = 0;
     bool any_left = true;
-    ASTREA_SPAN("astrea_g.pipeline_search");
     {
     telemetry::PerfSection msec(telemetry::PerfStage::Matching, 1,
                                 psample);
@@ -381,19 +372,13 @@ AstreaGDecoder::decodePipeline(std::span<const uint32_t> defects,
                     ASTREA_COUNTER_INC("astrea_g.hw6_invocations");
                     const MatchingTable &table6 =
                         MatchingTable::forNodes(6);
-                    KernelMatch tkm;
-                    {
-                        ASTREA_SPAN("astrea_g.hw6");
-                        int32_t sub[6 * 6];
-                        for (int a = 0; a < 36; a++)
-                            sub[a] = static_cast<int32_t>(
-                                kInfiniteTileWeight);
-                        for (int a = 0; a < 6; a++)
-                            for (int b = a + 1; b < 6; b++)
-                                sub[a * 6 + b] =
-                                    s.tile.weightAt(rem[a], rem[b]);
-                        tkm = matchTile16(table6, sub, kernel_);
-                    }
+                    int32_t sub[6 * 6];
+                    for (int a = 0; a < 36; a++)
+                        sub[a] = static_cast<int32_t>(kInfiniteTileWeight);
+                    for (int a = 0; a < 6; a++)
+                        for (int b = a + 1; b < 6; b++)
+                            sub[a * 6 + b] = s.tile.weightAt(rem[a], rem[b]);
+                    const KernelMatch tkm = matchTile16(table6, sub, kernel_);
                     WeightSum total = addWeights(
                         ns.weight, LwtTile::toWeightSum(tkm.weight));
                     if (total < best_weight) {
@@ -441,12 +426,6 @@ AstreaGDecoder::decodePipeline(std::span<const uint32_t> defects,
         }
         stats_.maxQueueOccupancy =
             std::max<uint64_t>(stats_.maxQueueOccupancy, occupancy);
-        if (chrome != nullptr) {
-            chrome->counter("astrea_g.queue_occupancy",
-                            static_cast<double>(occupancy));
-            chrome->counter("astrea_g.requeues",
-                            static_cast<double>(requeues));
-        }
     }
     }
 

@@ -96,14 +96,14 @@ AccuracyAuditor::offer(uint64_t shot, uint32_t worker,
 {
     if (stride_ == 0 || defects.empty())
         return false;
-    const uint64_t seq = offered_.fetch_add(1,
-                                            std::memory_order_relaxed);
+    offered_.fetch_add(1, std::memory_order_relaxed);
     if (result.gaveUp)
         giveUpsOffered_.fetch_add(1, std::memory_order_relaxed);
 
-    // Deterministic 1-in-stride sampling; give-ups are always taken so
+    // Every stride-th shot by its global index, so the audited shots
+    // are the same at every thread count; give-ups are always taken so
     // the give-up audit covers every one the queue has room for.
-    if (!result.gaveUp && (seq % stride_) != 0)
+    if (!result.gaveUp && (shot % stride_) != 0)
         return false;
     sampled_.fetch_add(1, std::memory_order_relaxed);
 
@@ -536,9 +536,7 @@ AccuracyAuditor::writeMetrics(telemetry::PrometheusWriter &w) const
              PromLabels{{"oracle", "mwpm"}});
 
     w.counter("astrea_audit_captures_total",
-              "Flight-recorder captures triggered by observable "
-              "mismatches",
-              s.captures);
+              "Captures written for observable mismatches", s.captures);
 }
 
 void

@@ -107,8 +107,9 @@ class AccuracyAuditor
 
     /**
      * Hot-path sampling hook: decide whether this decode is audited
-     * (deterministic 1-in-stride sampling; give-ups are always taken)
-     * and, if so, copy it into the queue. Never blocks or allocates;
+     * (every stride-th shot by its global index `shot`, so the same
+     * shots at any thread count; give-ups are always taken) and, if
+     * so, copy it into the queue. Never blocks or allocates;
      * returns true when the shot was enqueued. A nonzero trace_id
      * rides along so the verdict can annotate the kept trace
      * (telemetry/trace_store.hh) when the audit completes.

@@ -5,6 +5,15 @@
 namespace astrea
 {
 
+std::vector<DecodeResult>
+makeResultSlots(size_t n)
+{
+    std::vector<DecodeResult> slots(n);
+    for (DecodeResult &r : slots)
+        r.matchedPairs.reserve(32);
+    return slots;
+}
+
 DecodeScratch &
 DecodeScratch::inner()
 {

@@ -84,6 +84,14 @@ struct DecodeResult
 };
 
 /**
+ * n result slots for decodeBatch(). A slot keeps its pair buffer from
+ * batch to batch; reserved for any matching of up to 32 pairs, a wide
+ * shot landing on a slot that has only held narrow ones does not
+ * allocate.
+ */
+std::vector<DecodeResult> makeResultSlots(size_t n);
+
+/**
  * Caller-owned reusable work buffers for decodeInto().
  *
  * One scratch serves one decoder instance at a time (no sharing across

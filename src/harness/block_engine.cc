@@ -26,13 +26,8 @@ runBlocks(uint64_t blocks, unsigned threads,
 
 ShotStream::ShotStream(uint64_t seed, uint64_t shots, uint32_t stream)
     : seed_(seed), shots_(shots), stream_(stream),
-      results_(kDecodeBatchShots)
+      results_(makeResultSlots(kDecodeBatchShots))
 {
-    // A result slot keeps its pair buffer from batch to batch. Sized
-    // for any matching of up to 32 pairs, a wide shot landing on a slot
-    // that has only held narrow ones does not allocate.
-    for (DecodeResult &r : results_)
-        r.matchedPairs.reserve(32);
 }
 
 bool

@@ -57,6 +57,24 @@ void runBlocks(
     uint64_t blocks, unsigned threads,
     const std::function<void(unsigned, std::atomic<uint64_t> &)> &worker);
 
+/** What the tracer and the auditor see of one decoded shot. */
+inline telemetry::TraceShotOutcome
+shotOutcome(const DecodeResult &dr, uint64_t actual_obs,
+            std::span<const uint32_t> defects)
+{
+    telemetry::TraceShotOutcome out;
+    out.latencyNs = dr.latencyNs;
+    out.cycles = dr.cycles;
+    out.matchingWeight = dr.matchingWeight;
+    out.obsMask = dr.obsMask;
+    out.actualObs = actual_obs;
+    out.gaveUp = dr.gaveUp;
+    out.logicalError = dr.obsMask != actual_obs;
+    out.defects = defects.data();
+    out.hw = static_cast<uint32_t>(defects.size());
+    return out;
+}
+
 /**
  * Merges per-block partials into a total in block order, whatever
  * order the blocks finish in; a partial that finishes early waits for
@@ -146,16 +164,8 @@ class ShotStream
             }
             for (uint32_t i = 0; i < m; i++) {
                 const DecodeResult &dr = results_[i];
-                telemetry::TraceShotOutcome out;
-                out.latencyNs = dr.latencyNs;
-                out.cycles = dr.cycles;
-                out.matchingWeight = dr.matchingWeight;
-                out.obsMask = dr.obsMask;
-                out.actualObs = actuals_[i];
-                out.gaveUp = dr.gaveUp;
-                out.logicalError = dr.obsMask != actuals_[i];
-                out.defects = batch_.at(i).data();
-                out.hw = static_cast<uint32_t>(batch_.hw(i));
+                telemetry::TraceShotOutcome out =
+                    shotOutcome(dr, actuals_[i], batch_.at(i));
                 if (auditor != nullptr && out.hw > 0) {
                     out.audited = auditor->offer(
                         first + i, stream_, batch_.at(i), dr,

@@ -15,7 +15,7 @@ namespace astrea
 struct DecodeFleet::Shard
 {
     explicit Shard(size_t ring_capacity, size_t max_batch)
-        : ring(ring_capacity)
+        : ring(ring_capacity), results(makeResultSlots(max_batch))
     {
         pendingJobs.resize(max_batch);
     }

@@ -109,7 +109,6 @@ measureLatencyDistribution(const ExperimentContext &ctx,
                            const DecoderFactory &factory, uint64_t shots,
                            uint64_t seed, unsigned threads)
 {
-    ASTREA_SPAN("latency_distribution");
     // 50 ns buckets up to 100 us: software MWPM routinely exceeds the
     // old 10 us default, which pushed its p90/p99 into the overflow
     // fallback (reporting the observed max instead of an estimate).

@@ -4,7 +4,6 @@
 #include "common/logging.hh"
 #include "dem/extractor.hh"
 #include "harness/block_engine.hh"
-#include "telemetry/export.hh"
 #include "telemetry/telemetry.hh"
 
 namespace astrea
@@ -171,7 +170,6 @@ runMemoryExperiment(const ExperimentContext &ctx,
                     const DecoderFactory &factory, uint64_t shots,
                     uint64_t seed, unsigned threads)
 {
-    ASTREA_SPAN("experiment.run");
     ExperimentResult total;
 
     if (telemetry::traceRetention().enabled ||
@@ -204,14 +202,12 @@ runMemoryExperiment(const ExperimentContext &ctx,
         auto decoder = factory(ctx);
         // Hoisted so the shot loop stays allocation-free.
         const std::string decoder_name = decoder->name();
-        telemetry::TraceWriter *trace = telemetry::globalTraceFast();
-        const uint64_t trace_stride = telemetry::traceSampleStride();
         ShotStream stream(seed, shots, worker);
         while (stream.nextBlock(next_block)) {
             ExperimentResult part;
             stream.decode(ctx, stream.remaining(), *decoder,
                           decoder_name.c_str(), auditor.get(),
-                          [&](uint64_t s,
+                          [&](uint64_t,
                               const telemetry::TraceShotOutcome &o) {
                 part.hammingWeights.add(o.hw);
                 if (o.gaveUp) {
@@ -227,20 +223,6 @@ runMemoryExperiment(const ExperimentContext &ctx,
                 if (o.hw > 2) {
                     part.latencyNontrivialNs.add(o.latencyNs);
                     part.latencyNontrivialHist.add(o.latencyNs);
-                }
-
-                if (trace != nullptr && s % trace_stride == 0) {
-                    telemetry::JsonWriter w;
-                    w.beginObject()
-                        .kv("type", "shot")
-                        .kv("shot", s)
-                        .kv("worker", uint64_t{worker})
-                        .kv("hw", uint64_t{o.hw})
-                        .kv("latency_ns", o.latencyNs)
-                        .kv("gave_up", o.gaveUp)
-                        .kv("logical_error", o.logicalError)
-                        .endObject();
-                    trace->line(w.str());
                 }
             });
 
@@ -283,20 +265,6 @@ runMemoryExperiment(const ExperimentContext &ctx,
                std::to_string(snap.observableMismatches) +
                " observable mismatches, " +
                std::to_string(snap.queueDrops) + " queue drops");
-    }
-
-    if (telemetry::TraceWriter *trace = telemetry::globalTraceFast()) {
-        telemetry::JsonWriter w;
-        w.beginObject()
-            .kv("type", "experiment")
-            .kv("decoder", factory(ctx)->name())
-            .kv("distance", uint64_t{ctx.config().distance})
-            .kv("p", ctx.config().physicalErrorRate)
-            .kv("shots", total.logicalErrors.trials)
-            .kv("logical_errors", total.logicalErrors.successes)
-            .kv("gave_ups", total.gaveUps)
-            .endObject();
-        trace->line(w.str());
     }
     return total;
 }

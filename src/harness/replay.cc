@@ -10,7 +10,9 @@
 
 #include "common/weight.hh"
 #include "decoders/registry.hh"
+#include "harness/block_engine.hh"
 #include "matching/dp_matcher.hh"
+#include "telemetry/decode_trace.hh"
 #include "telemetry/trace_store.hh"
 
 namespace astrea
@@ -368,6 +370,8 @@ replayCapture(const ReplayCapture &capture,
 
     DecodeResult dr;
     DecodeScratch scratch;
+    const std::string decoder_name = decoder->name();
+    telemetry::DecodeTracer &tracer = telemetry::decodeTracer();
     for (size_t i = 0; i < capture.records.size(); i++) {
         const ReplayRecord &rec = capture.records[i];
         summary.records++;
@@ -390,7 +394,16 @@ replayCapture(const ReplayCapture &capture,
                 << " defects kept [truncated, not verified]\n";
             continue;
         }
+        // Each record decodes under the tracer as a batch of one, on
+        // its own stream and shot, so a kept trace of the replay holds
+        // the record's stage spans.
+        tracer.beginBatch(rec.stream, rec.shot, decoder_name.c_str(), 0);
+        telemetry::traceShotBegin(0);
         decoder->decodeInto(rec.syndrome, dr, scratch);
+        if (tracer.active())
+            tracer.finishShot(0, shotOutcome(dr, rec.actualObs,
+                                             rec.syndrome));
+        tracer.endBatch();
 
         // The verdict must reproduce exactly: the decoders are pure
         // functions of (GWT, defects), and the GWT is rebuilt from the

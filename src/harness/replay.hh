@@ -102,7 +102,10 @@ struct ReplaySummary
  * Rebuild the capture's context and decoder, re-decode every record
  * that is not truncated, and compare against the recorded verdicts
  * (obs mask, give-up flag and modeled cycles exactly; matching weight
- * to 1e-9). Progress and narration go to `out`.
+ * to 1e-9). Progress and narration go to `out`. Each record decodes
+ * under this thread's decode tracer (telemetry/decode_trace.hh) with
+ * the record's stream and shot, so with tracing on the trace store
+ * may keep it, stage spans included; its trace id is a new one.
  */
 ReplaySummary replayCapture(const ReplayCapture &capture,
                             const ReplayOptions &options,

@@ -1,12 +1,17 @@
 #include "telemetry/chrome_trace.hh"
 
-#include <atomic>
-#include <chrono>
-#include <memory>
+#include <algorithm>
+#include <cstdint>
+#include <cstdlib>
+#include <set>
+#include <utility>
+#include <vector>
 
-#include "common/env.hh"
 #include "common/logging.hh"
+#include "telemetry/decode_trace.hh"
 #include "telemetry/json.hh"
+#include "telemetry/perf_counters.hh"
+#include "telemetry/trace_store.hh"
 
 namespace astrea
 {
@@ -16,171 +21,98 @@ namespace telemetry
 namespace
 {
 
-std::chrono::steady_clock::time_point
-traceEpoch()
+/** ns as a JSON number of microseconds, the format's time unit. */
+std::string
+microsecondsJson(uint64_t ns)
 {
-    static const auto epoch = std::chrono::steady_clock::now();
-    return epoch;
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%llu.%03llu",
+                  static_cast<unsigned long long>(ns / 1000),
+                  static_cast<unsigned long long>(ns % 1000));
+    return buf;
 }
-
-std::atomic<uint32_t> g_next_tid{1};
 
 } // namespace
 
-double
-traceNowUs()
-{
-    auto now = std::chrono::steady_clock::now();
-    return std::chrono::duration<double, std::micro>(now - traceEpoch())
-        .count();
-}
-
-uint32_t
-traceThreadId()
-{
-    thread_local uint32_t tid =
-        g_next_tid.fetch_add(1, std::memory_order_relaxed);
-    return tid;
-}
-
-ChromeTraceWriter::ChromeTraceWriter(const std::string &path)
-{
-    if (path.empty())
-        return;
-    file_ = std::fopen(path.c_str(), "w");
-    if (file_ == nullptr)
-        fatal("cannot open chrome trace file: " + path);
-    traceEpoch();  // Pin the epoch no later than the first event.
-    std::fputs("[\n", file_);
-}
-
-ChromeTraceWriter::~ChromeTraceWriter()
-{
-    finalize();
-}
-
 void
-ChromeTraceWriter::finalize()
+writeChromeTrace(const TraceStore &store, std::FILE *out)
 {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (file_ == nullptr)
-        return;
-    std::fputs("\n]\n", file_);
-    std::fclose(file_);
-    file_ = nullptr;
-}
+    // Oldest first, with timestamps counted from the oldest kept batch.
+    std::vector<StoredTrace> traces = store.snapshot();
+    std::reverse(traces.begin(), traces.end());
+    uint64_t epoch_ns = UINT64_MAX;
+    for (const StoredTrace &t : traces)
+        epoch_ns = std::min(epoch_ns, t.batchStartNs);
 
-void
-ChromeTraceWriter::emit(const char *name, char phase, double ts_us,
-                        const double *counter_value,
-                        const double *dur_us)
-{
-    JsonWriter w;
-    w.beginObject()
-        .kv("name", name)
-        .kv("cat", "astrea")
-        .kv("ph", std::string(1, phase))
-        .kv("ts", ts_us)
-        .kv("pid", uint64_t{1})
-        .kv("tid", uint64_t{traceThreadId()});
-    if (dur_us != nullptr)
-        w.kv("dur", *dur_us);
-    if (phase == 'i')
-        w.kv("s", "t");  // Thread-scoped instant.
-    if (counter_value != nullptr) {
-        w.key("args").beginObject().kv("value", *counter_value)
-            .endObject();
+    // A batch span is the same interval in every kept trace of its
+    // batch: (stream, batch start) names the batch.
+    std::set<std::pair<uint32_t, uint64_t>> batches_written;
+    const char *separator = "\n";
+    std::fputc('[', out);
+    for (const StoredTrace &t : traces) {
+        for (uint32_t i = 0; i < t.numSpans && i < kTraceMaxSpans; i++) {
+            const TraceSpan &sp = t.spans[i];
+            const bool batch = sp.shot < 0;
+            if (batch &&
+                !batches_written.emplace(t.stream, t.batchStartNs).second)
+                continue;
+            const uint64_t start_ns = t.batchStartNs - epoch_ns + sp.startNs;
+            JsonWriter w;
+            w.beginObject()
+                .kv("name", perfStageName(static_cast<PerfStage>(sp.stage)))
+                .kv("cat", "astrea")
+                .kv("ph", "X");
+            w.key("ts").raw(microsecondsJson(start_ns));
+            w.key("dur").raw(microsecondsJson(sp.durNs));
+            w.kv("pid", uint64_t{1}).kv("tid", t.stream);
+            w.key("args").beginObject().kv("decoder", t.decoder);
+            if (!batch) {
+                w.kv("trace_id", traceIdHex(t.traceId))
+                    .kv("shot", t.shot)
+                    .kv("hw", t.hw)
+                    .kv("outcome", traceOutcomeName(t));
+            }
+            w.endObject().endObject();
+            std::fputs(separator, out);
+            separator = ",\n";
+            std::fwrite(w.str().data(), 1, w.str().size(), out);
+        }
     }
-    w.endObject();
-
-    std::lock_guard<std::mutex> lock(mu_);
-    if (file_ == nullptr)
-        return;
-    if (!first_)
-        std::fputs(",\n", file_);
-    first_ = false;
-    const std::string &line = w.str();
-    std::fwrite(line.data(), 1, line.size(), file_);
-    events_++;
-}
-
-void
-ChromeTraceWriter::begin(const char *name)
-{
-    emit(name, 'B', traceNowUs(), nullptr, nullptr);
-}
-
-void
-ChromeTraceWriter::end(const char *name)
-{
-    emit(name, 'E', traceNowUs(), nullptr, nullptr);
-}
-
-void
-ChromeTraceWriter::counter(const char *name, double value)
-{
-    emit(name, 'C', traceNowUs(), &value, nullptr);
-}
-
-void
-ChromeTraceWriter::instant(const char *name)
-{
-    emit(name, 'i', traceNowUs(), nullptr, nullptr);
+    std::fputs("\n]\n", out);
 }
 
 namespace
 {
 
-std::mutex g_chrome_mu;
-std::unique_ptr<ChromeTraceWriter> g_chrome;
-bool g_chrome_initialized = false;
-/** Fast-path cache so hot loops can poll tracing without the mutex. */
-std::atomic<ChromeTraceWriter *> g_chrome_ptr{nullptr};
-std::atomic<uint64_t> g_chrome_gen{0};
+/** The file writeChromeTraceAtExit() writes; nullptr until called. */
+std::FILE *g_exit_file = nullptr;
+
+void
+writeGlobalChromeTrace()
+{
+    writeChromeTrace(TraceStore::global(), g_exit_file);
+    std::fclose(g_exit_file);
+}
 
 } // namespace
 
-ChromeTraceWriter *
-globalChromeTrace()
-{
-    std::lock_guard<std::mutex> lock(g_chrome_mu);
-    if (!g_chrome_initialized) {
-        g_chrome_initialized = true;
-        std::string path = env::getString("ASTREA_CHROME_TRACE", "");
-        if (!path.empty())
-            g_chrome = std::make_unique<ChromeTraceWriter>(path);
-        g_chrome_ptr.store(g_chrome.get(), std::memory_order_release);
-    }
-    return g_chrome.get();
-}
-
-ChromeTraceWriter *
-globalChromeTraceFast()
-{
-    static bool primed = (globalChromeTrace(), true);
-    (void)primed;
-    return g_chrome_ptr.load(std::memory_order_acquire);
-}
-
-uint64_t
-globalChromeTraceGeneration()
-{
-    return g_chrome_gen.load(std::memory_order_acquire);
-}
-
 void
-setGlobalChromeTraceFile(const std::string &path)
+writeChromeTraceAtExit(const std::string &path)
 {
-    std::lock_guard<std::mutex> lock(g_chrome_mu);
-    g_chrome_initialized = true;
-    // Unpublish before finalizing so racing fast-path readers never
-    // see a writer that is mid-close.
-    g_chrome_ptr.store(nullptr, std::memory_order_release);
-    g_chrome.reset();
-    if (!path.empty())
-        g_chrome = std::make_unique<ChromeTraceWriter>(path);
-    g_chrome_gen.fetch_add(1, std::memory_order_acq_rel);
-    g_chrome_ptr.store(g_chrome.get(), std::memory_order_release);
+    ASTREA_CHECK(g_exit_file == nullptr,
+                 "the chrome trace export is already armed");
+    g_exit_file = std::fopen(path.c_str(), "w");
+    if (g_exit_file == nullptr)
+        fatal("cannot open chrome trace file: " + path);
+    TraceRetentionConfig cfg = traceRetention();
+    cfg.enabled = true;
+    setTraceRetention(cfg);
+    // Handlers run in reverse order of registration, interleaved with
+    // the destruction of statics: registered after the global store
+    // exists, this one runs while the store is still alive.
+    TraceStore::global();
+    if (std::atexit(writeGlobalChromeTrace) != 0)
+        fatal("cannot register the chrome trace export");
 }
 
 } // namespace telemetry

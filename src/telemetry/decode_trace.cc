@@ -295,6 +295,7 @@ DecodeTracer::finishShot(uint32_t shot_idx,
     StoredTrace t;
     t.traceId = shotId(shot_idx);
     t.shot = baseShot_ + shot_idx;
+    t.batchStartNs = batchStartNs_;
     t.stream = stream_;
     t.hw = o.hw;
     std::memcpy(t.decoder, decoder_, sizeof(t.decoder));

@@ -22,8 +22,10 @@
  * configured threshold, or above the service's rolling p99 when the
  * threshold is 0/auto), gave up, produced a logical error, was
  * sampled into the audit queue, or hit the head-sampling stride.
- * Kept traces move into TraceStore::global(); everything else costs
- * nothing beyond the buffered spans being forgotten.
+ * Kept traces move into TraceStore::global(), which serves them at
+ * /traces, in captures and as the Perfetto timeline (chrome_trace.hh);
+ * everything else costs nothing beyond the buffered spans being
+ * forgotten. These are the program's only spans.
  *
  * The tracer is also the forensic recorder. While the store has a
  * capture armed (ASTREA_CAPTURE_PATH / ASTREA_CAPTURE_DIR), each

@@ -1,9 +1,7 @@
 #include "telemetry/export.hh"
 
-#include <cstdlib>
-#include <memory>
+#include <cstdio>
 
-#include "common/env.hh"
 #include "common/logging.hh"
 
 namespace astrea
@@ -77,118 +75,6 @@ writeMetricsJson(const MetricsRegistry &registry,
     std::fwrite(json.data(), 1, json.size(), f);
     std::fputc('\n', f);
     std::fclose(f);
-}
-
-TraceWriter::TraceWriter(const std::string &path, bool append)
-{
-    if (path.empty())
-        return;
-    file_ = std::fopen(path.c_str(), append ? "a" : "w");
-    if (file_ == nullptr)
-        fatal("cannot open trace file: " + path);
-}
-
-TraceWriter::~TraceWriter()
-{
-    if (file_ != nullptr)
-        std::fclose(file_);
-}
-
-void
-TraceWriter::line(const std::string &json_object)
-{
-    if (file_ == nullptr)
-        return;
-    std::lock_guard<std::mutex> lock(mu_);
-    std::fwrite(json_object.data(), 1, json_object.size(), file_);
-    std::fputc('\n', file_);
-    lines_++;
-}
-
-namespace
-{
-
-std::mutex g_trace_mu;
-std::unique_ptr<TraceWriter> g_trace;
-bool g_trace_initialized = false;
-/** Fast-path cache so hot loops can poll tracing without the mutex. */
-std::atomic<TraceWriter *> g_trace_ptr{nullptr};
-
-} // namespace
-
-TraceWriter *
-globalTrace()
-{
-    std::lock_guard<std::mutex> lock(g_trace_mu);
-    if (!g_trace_initialized) {
-        g_trace_initialized = true;
-        std::string path = env::getString("ASTREA_TRACE_FILE", "");
-        if (!path.empty())
-            g_trace = std::make_unique<TraceWriter>(path);
-        g_trace_ptr.store(g_trace.get(), std::memory_order_release);
-    }
-    return g_trace.get();
-}
-
-TraceWriter *
-globalTraceFast()
-{
-    static bool primed = (globalTrace(), true);  // Lazy env init once.
-    (void)primed;
-    return g_trace_ptr.load(std::memory_order_acquire);
-}
-
-void
-setGlobalTraceFile(const std::string &path)
-{
-    std::lock_guard<std::mutex> lock(g_trace_mu);
-    g_trace_initialized = true;
-    if (path.empty())
-        g_trace.reset();
-    else
-        g_trace = std::make_unique<TraceWriter>(path);
-    g_trace_ptr.store(g_trace.get(), std::memory_order_release);
-}
-
-uint64_t
-parseTraceStride(const char *text, bool *invalid)
-{
-    if (invalid != nullptr)
-        *invalid = false;
-    if (text == nullptr || text[0] == '\0')
-        return 1;
-    char *end = nullptr;
-    unsigned long long v = std::strtoull(text, &end, 10);
-    // Reject partial parses ("2x"), non-numeric input, negatives
-    // (strtoull silently wraps "-2" to a huge stride) and 0: a zero
-    // stride would make shot_index % stride divide by zero, and a
-    // garbage value silently disabling sampling is worse than loud.
-    if (end == text || *end != '\0' || v == 0 || text[0] == '-') {
-        if (invalid != nullptr)
-            *invalid = true;
-        return 1;
-    }
-    return static_cast<uint64_t>(v);
-}
-
-uint64_t
-traceSampleStride()
-{
-    static uint64_t stride = [] {
-        // parseTraceStride keeps its bespoke validation (a zero or
-        // garbage stride must fall back to 1, loudly); only the getenv
-        // itself routes through the env helper.
-        const char *env = env::raw("ASTREA_TRACE_SAMPLE");
-        bool invalid = false;
-        uint64_t v = parseTraceStride(env, &invalid);
-        if (invalid) {
-            warn("ASTREA_TRACE_SAMPLE='" + std::string(env) +
-                 "' is not a positive integer; sampling every shot "
-                 "(stride 1)");
-        }
-        return v;
-    }();
-    return stride;
 }
 
 } // namespace telemetry

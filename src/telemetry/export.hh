@@ -1,30 +1,17 @@
 /**
  * @file
- * Telemetry exporters: full-registry JSON snapshots and an append-only
- * JSONL trace stream.
+ * Telemetry exporter: full-registry JSON snapshots.
  *
  * The JSON snapshot serializes every metric in the registry — this is
  * what bench binaries embed in their --json-out reports, giving each
  * run a machine-readable record of the decoder's internal counters
  * (HW6 invocations, filter reductions, give-ups, queue occupancy, ...)
  * next to its headline numbers.
- *
- * The JSONL trace appends one self-contained JSON object per line:
- * span completions (scoped_timer.hh) and per-shot / per-stage events
- * emitted by the instrumented hot paths. One line per event keeps the
- * file greppable and streamable; writers are mutex-guarded so worker
- * threads never interleave partial lines. The process-wide trace is
- * configured with setGlobalTraceFile() or the ASTREA_TRACE_FILE
- * environment variable; per-shot events can be thinned with
- * ASTREA_TRACE_SAMPLE=N (keep every Nth shot).
  */
 
 #ifndef ASTREA_TELEMETRY_EXPORT_HH
 #define ASTREA_TELEMETRY_EXPORT_HH
 
-#include <cstdint>
-#include <cstdio>
-#include <mutex>
 #include <string>
 
 #include "telemetry/json.hh"
@@ -50,58 +37,6 @@ std::string metricsToJson(const MetricsRegistry &registry);
 /** Write the registry snapshot to a file; fatal() on I/O failure. */
 void writeMetricsJson(const MetricsRegistry &registry,
                       const std::string &path);
-
-/** Mutex-guarded JSONL appender: one JSON object per line. */
-class TraceWriter
-{
-  public:
-    /** Opens (and truncates, unless append) the file; "" disables. */
-    explicit TraceWriter(const std::string &path, bool append = false);
-    ~TraceWriter();
-
-    TraceWriter(const TraceWriter &) = delete;
-    TraceWriter &operator=(const TraceWriter &) = delete;
-
-    bool ok() const { return file_ != nullptr; }
-    uint64_t linesWritten() const { return lines_; }
-
-    /** Append one pre-serialized JSON object as a line. */
-    void line(const std::string &json_object);
-
-  private:
-    std::mutex mu_;
-    std::FILE *file_ = nullptr;
-    uint64_t lines_ = 0;
-};
-
-/**
- * The process-wide trace, or nullptr when tracing is off. Configured
- * lazily from ASTREA_TRACE_FILE on first call, or explicitly via
- * setGlobalTraceFile().
- */
-TraceWriter *globalTrace();
-
-/** globalTrace() without the mutex, for per-shot polling. */
-TraceWriter *globalTraceFast();
-
-/** (Re)configure the global trace; an empty path disables tracing. */
-void setGlobalTraceFile(const std::string &path);
-
-/**
- * Per-shot trace sampling stride (ASTREA_TRACE_SAMPLE, default 1 =
- * every shot). Hot loops emit shot events only when
- * shot_index % stride == 0. Invalid values (0, non-numeric, partial
- * parses) warn once and fall back to 1.
- */
-uint64_t traceSampleStride();
-
-/**
- * Parse a stride string: positive integers pass through; nullptr or
- * "" is the default 1; anything else (0, non-numeric, trailing
- * garbage) sets *invalid and returns the safe fallback 1. Exposed so
- * the validation is testable apart from the env-cached stride.
- */
-uint64_t parseTraceStride(const char *text, bool *invalid);
 
 } // namespace telemetry
 } // namespace astrea

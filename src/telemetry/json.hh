@@ -2,9 +2,9 @@
  * @file
  * Minimal streaming JSON writer for telemetry exports.
  *
- * The bench reports and JSONL traces need machine-readable output, but
- * the repository has a no-external-dependency policy, so this is a
- * small hand-rolled writer: begin/end object/array with automatic
+ * The bench reports and trace documents need machine-readable
+ * output, but the repository has a no-external-dependency policy, so
+ * this is a small hand-rolled writer: begin/end object/array with automatic
  * comma placement, string escaping, and finite-number handling
  * (NaN/Inf serialize as null, which every JSON parser accepts).
  * Balanced nesting is enforced with ASTREA_CHECK; the writer is for

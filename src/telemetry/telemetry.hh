@@ -17,13 +17,7 @@
 #ifndef ASTREA_TELEMETRY_TELEMETRY_HH
 #define ASTREA_TELEMETRY_TELEMETRY_HH
 
-#include <optional>
-
 #include "telemetry/metrics.hh"
-#include "telemetry/scoped_timer.hh"
-
-#define ASTREA_TELEMETRY_CAT2(a, b) a##b
-#define ASTREA_TELEMETRY_CAT(a, b) ASTREA_TELEMETRY_CAT2(a, b)
 
 #ifndef ASTREA_TELEMETRY_DISABLED
 
@@ -96,13 +90,6 @@
         }                                                                 \
     } while (0)
 
-/** Time the enclosing scope as a nested span (scoped_timer.hh). */
-#define ASTREA_SPAN(name)                                                 \
-    std::optional<::astrea::telemetry::ScopedTimer>                       \
-        ASTREA_TELEMETRY_CAT(astrea_tel_span_, __LINE__);                 \
-    if (::astrea::telemetry::enabled())                                   \
-        ASTREA_TELEMETRY_CAT(astrea_tel_span_, __LINE__).emplace(name)
-
 #else  // ASTREA_TELEMETRY_DISABLED
 
 #define ASTREA_COUNTER_ADD(name, n) ((void)0)
@@ -112,7 +99,6 @@
 #define ASTREA_HIST_ADD(name, key) ((void)0)
 #define ASTREA_HIST_ADD_N(name, key, n) ((void)0)
 #define ASTREA_LATENCY_NS(name, ns) ((void)0)
-#define ASTREA_SPAN(name) ((void)0)
 
 #endif // ASTREA_TELEMETRY_DISABLED
 

@@ -114,6 +114,9 @@ struct StoredTrace
 {
     uint64_t traceId = 0;
     uint64_t shot = 0;     ///< Global shot index in its run.
+    /** Steady-clock start of the decode's batch (ns), which the span
+     *  offsets count from. */
+    uint64_t batchStartNs = 0;
     uint32_t stream = 0;   ///< Worker / stream id.
     uint32_t hw = 0;
     char decoder[kTraceDecoderLen] = {};

@@ -7,13 +7,15 @@
  * lets every reusable buffer (DecodeResult, DecodeScratch, the decoder
  * extension slots, LUT memoization) reach its steady-state capacity, a
  * full decode pass over HW <= 10 syndromes must perform zero heap
- * allocations for the hardware decoders named in the issue: astrea,
- * astrea-g, greedy and lut. The same bar holds with per-decode tail
+ * allocations for the hardware decoders: astrea, astrea-g, greedy and
+ * lut, and so must Astrea-G's pipeline path above HW 10 with
+ * telemetry collection on. The same bar holds with per-decode tail
  * tracing armed and every trace retained, with a capture armed (after
  * the recent-decode ring's one allocation), for the harness's shot
  * loop after a worker's first block, for the audit queue's
  * producer side, for the fleet's ingest -> decode -> account ->
- * verdict-send path as the decode service composes it, and for the
+ * verdict-send path as the decode service composes it (syndromes it
+ * has not decoded before included), and for the
  * fleet client's frame encoding.
  */
 
@@ -41,6 +43,7 @@
 #include "net/fleet_protocol.hh"
 #include "net/fleet_server.hh"
 #include "telemetry/decode_trace.hh"
+#include "telemetry/metrics.hh"
 
 namespace astrea
 {
@@ -156,6 +159,50 @@ TEST(AllocCounter, SteadyStateBatchDecodeIsAllocationFree)
             << " times across " << batch.size()
             << " steady-state batched decodes";
     }
+}
+
+TEST(AllocCounter, AstreaGPipelineWithTelemetryIsAllocationFree)
+{
+    // Astrea-G's pipeline path (HW above the exhaustive cutoff) with
+    // telemetry collection on, as every --json-out bench and the
+    // decode service run it: its counters resolve their handles once
+    // and its stage spans are the tracer's, so after warm-up a decode
+    // touches no heap.
+    ExperimentConfig cfg;
+    cfg.distance = 9;
+    cfg.physicalErrorRate = 1e-3;
+    ExperimentContext ctx(cfg);
+    auto dec = makeDecoder("astrea-g", decoderOptionsFor(ctx));
+    const uint32_t cutoff = AstreaGConfig{}.exhaustiveMaxHw;
+
+    Rng rng(41);
+    BitVec dets, obs;
+    std::vector<std::vector<uint32_t>> syndromes;
+    size_t guard = 0;
+    while (syndromes.size() < 200 && ++guard < 2000000) {
+        ctx.sampler().sample(rng, dets, obs);
+        const size_t hw = dets.popcount();
+        if (hw > cutoff && hw <= 20)
+            syndromes.push_back(dets.onesIndices());
+    }
+    ASSERT_EQ(syndromes.size(), 200u);
+
+    telemetry::setEnabled(true);
+    DecodeResult dr;
+    DecodeScratch scratch;
+    auto pass = [&] {
+        for (const auto &s : syndromes)
+            dec->decodeInto(s, dr, scratch);
+    };
+    pass();
+    pass();
+    const uint64_t before = allocCount();
+    pass();
+    const uint64_t allocs = allocCount() - before;
+    telemetry::setEnabled(false);
+    EXPECT_EQ(allocs, 0u)
+        << "astrea-g allocated " << allocs << " times across "
+        << syndromes.size() << " pipeline decodes with telemetry on";
 }
 
 TEST(AllocCounter, TracedDecodeIsAllocationFree)
@@ -404,38 +451,48 @@ TEST(AllocCounter, FleetIngestToDecodePathIsAllocationFree)
     fleet.setVerdictSink(
         [&verdicts](const FleetVerdict &) { verdicts++; });
 
-    // Pre-encode wire bytes for sampled syndromes, 16 frames per
+    // Pre-encode wire bytes for 128 sampled syndromes, 16 frames per
     // simulated recv() (client side; the measured region is the
     // server side).
     const uint32_t bits = fleet.numDetectorBits();
+    constexpr size_t frames_total = 128;
     Rng rng(31);
     BitVec dets, obs;
-    std::vector<std::vector<uint8_t>> recvs(1);
-    size_t frames_total = 0;
-    size_t guard = 0;
     uint32_t seq = 0;
-    while (frames_total < 128 && ++guard < 2000000) {
-        ctx->sampler().sample(rng, dets, obs);
-        const size_t hw = dets.popcount();
-        if (hw < 1 || hw > 10)
-            continue;
-        if (frames_total > 0 && frames_total % 16 == 0)
-            recvs.emplace_back();
-        net::appendFleetSyndrome(recvs.back(), seq % 16, seq, 7,
-                                 dets.onesIndices(), bits,
-                                 SyndromeCodec::Sparse);
-        frames_total++;
-        seq++;
-    }
-    ASSERT_EQ(frames_total, 128u);
+    auto encode_pass = [&] {
+        std::vector<std::vector<uint8_t>> recvs(1);
+        size_t frames = 0;
+        size_t guard = 0;
+        while (frames < frames_total && ++guard < 2000000) {
+            ctx->sampler().sample(rng, dets, obs);
+            const size_t hw = dets.popcount();
+            if (hw < 1 || hw > 10)
+                continue;
+            if (frames > 0 && frames % 16 == 0)
+                recvs.emplace_back();
+            net::appendFleetSyndrome(recvs.back(), seq % 16, seq, 7,
+                                     dets.onesIndices(), bits,
+                                     SyndromeCodec::Sparse);
+            frames++;
+            seq++;
+        }
+        EXPECT_EQ(frames, frames_total);
+        return recvs;
+    };
+    const std::vector<std::vector<uint8_t>> recvs = encode_pass();
+    // Syndromes the shard has never decoded: a result slot must not
+    // grow its pair buffer for a matching wider than it has held.
+    std::vector<std::vector<std::vector<uint8_t>>> fresh;
+    for (int pass = 0; pass < 20; pass++)
+        fresh.push_back(encode_pass());
 
     // Reused server-side state, exactly like net::FleetServer's
     // per-connection buffers.
     net::FleetFrameBuffer frames;
     std::vector<FleetJob> group(fc.maxBatch);
 
-    auto ingest_all = [&] {
-        for (const auto &bytes : recvs) {
+    auto ingest_all = [&](const std::vector<std::vector<uint8_t>> &pass) {
+        for (const auto &bytes : pass) {
             fake_now++;
             frames.append(bytes.data(), bytes.size());
             net::FleetFrameHeader h;
@@ -460,16 +517,39 @@ TEST(AllocCounter, FleetIngestToDecodePathIsAllocationFree)
 
     // Two warm-up passes settle every reused buffer (frame
     // accumulator, SyndromeBatch, decoder scratch).
-    ingest_all();
-    ingest_all();
+    ingest_all(recvs);
+    ingest_all(recvs);
     const uint64_t before = allocCount();
-    ingest_all();
+    ingest_all(recvs);
     const uint64_t allocs = allocCount() - before;
     EXPECT_EQ(allocs, 0u)
         << "fleet ingest->decode allocated " << allocs
         << " times across " << frames_total << " steady-state shots";
-    EXPECT_EQ(verdicts.load(), 3 * frames_total);
-    EXPECT_EQ(fleet.decodedTotal(), 3 * frames_total);
+
+    // The frame accumulator grows to the largest burst it has seen, as
+    // a connection's does. It sees the fresh bursts first, so the
+    // measured passes show what the shard does with syndromes it has
+    // never decoded.
+    for (const auto &pass : fresh) {
+        for (const auto &bytes : pass) {
+            frames.append(bytes.data(), bytes.size());
+            net::FleetFrameHeader h;
+            const uint8_t *payload = nullptr;
+            while (frames.next(h, payload) == net::FleetParse::Ok) {
+            }
+        }
+    }
+    const uint64_t fresh_before = allocCount();
+    for (const auto &pass : fresh)
+        ingest_all(pass);
+    const uint64_t fresh_allocs = allocCount() - fresh_before;
+    EXPECT_EQ(fresh_allocs, 0u)
+        << "fleet ingest->decode allocated " << fresh_allocs
+        << " times across " << fresh.size() << " passes of "
+        << frames_total << " fresh syndromes";
+    const uint64_t passes = 3 + fresh.size();
+    EXPECT_EQ(verdicts.load(), passes * frames_total);
+    EXPECT_EQ(fleet.decodedTotal(), passes * frames_total);
 }
 
 TEST(AllocCounter, FleetServeCompositionIsAllocationFree)

@@ -5,14 +5,18 @@
  * oracle correctness in both weight domains, shot classification
  * (optimal / suboptimal / observable-mismatch / weight-underrun),
  * give-up oracle coverage, drop accounting, weight-table rebinding,
+ * shot-indexed sampling that audits the same shots at any thread count,
  * the trace-store capture on observable mismatch, and the decode
  * service's schema-v2 audit surfaces.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -21,10 +25,13 @@
 #include "common/rng.hh"
 #include "common/weight.hh"
 #include "decoders/registry.hh"
+#include "harness/block_engine.hh"
 #include "harness/decode_service.hh"
 #include "harness/memory_experiment.hh"
 #include "harness/replay.hh"
+#include "telemetry/decode_trace.hh"
 #include "telemetry/json_value.hh"
+#include "telemetry/metrics.hh"
 #include "telemetry/trace_store.hh"
 
 namespace astrea
@@ -110,6 +117,18 @@ prodResult(uint64_t obs, double weight, bool gave_up = false)
 
 const std::vector<uint32_t> kBothDefects = {0, 1};
 
+/** Sets an environment variable for one scope. */
+struct ScopedEnv
+{
+    ScopedEnv(const char *name, const char *value) : name_(name)
+    {
+        ::setenv(name, value, 1);
+    }
+    ~ScopedEnv() { ::unsetenv(name_); }
+
+    const char *name_;
+};
+
 TEST(AuditorTest, OracleDecodeFindsMinimumInBothBackends)
 {
     GlobalWeightTable gwt = tinyGwt();
@@ -176,8 +195,8 @@ TEST(AuditorTest, GiveUpsAreAlwaysSampledAndOracleAudited)
     cfg.sampleRate = 1e-9;  // Astronomic stride: only give-ups pass.
     AccuracyAuditor auditor(gwt, cfg);
 
-    // offer() seq 0 is sampled by the stride; burn it on a give-up so
-    // the non-give-up below genuinely tests stride rejection.
+    // Shot 0 is sampled by the stride; burn it on a give-up so the
+    // non-give-up shot 1 below genuinely tests stride rejection.
     auditor.offer(0, 0, kBothDefects, prodResult(0, 0.0, true), 1);
     EXPECT_FALSE(
         auditor.offer(1, 0, kBothDefects, prodResult(1, 1.0), 1));
@@ -365,6 +384,62 @@ TEST(AuditorTest, AstreaMatchingsAreOptimalOnRealSyndromes)
     EXPECT_EQ(s.weightUnderruns, 0u);
     EXPECT_GE(s.optimalityRate(), 0.98)
         << "mismatches=" << s.observableMismatches;
+}
+
+TEST(AuditorTest, RunAuditsTheSameShotsAtAnyThreadCount)
+{
+    // runMemoryExperiment's auditor (ASTREA_AUDIT_RATE) samples every
+    // stride-th shot by its global index, so the audited shots and
+    // their verdicts do not depend on how many workers decoded them.
+    // Tracing keeps every audited decode, naming its shot.
+    ScopedEnv rate("ASTREA_AUDIT_RATE", "0.125");
+    ScopedEnv queue("ASTREA_AUDIT_QUEUE", "65536");
+    ExperimentConfig cfg;
+    cfg.distance = 3;
+    cfg.physicalErrorRate = 5e-3;
+    ExperimentContext ctx(cfg);
+    telemetry::setEnabled(true);
+
+    std::vector<uint64_t> reference_shots;
+    std::map<std::string, uint64_t> reference_counts;
+    for (unsigned threads : {1u, 2u, 4u}) {
+        SCOPED_TRACE(threads);
+        telemetry::MetricsRegistry::global().reset();
+        telemetry::TraceStore::global().configure(16384);
+        telemetry::TraceRetentionConfig tc;
+        tc.enabled = true;
+        tc.tailThresholdNs = 1e12;
+        tc.headStride = 0;
+        telemetry::setTraceRetention(tc);
+        runMemoryExperiment(ctx, astreaFactory(), 4 * kBlockShots, 3,
+                            threads);
+        telemetry::setTraceRetention(telemetry::TraceRetentionConfig{});
+
+        std::vector<uint64_t> shots;
+        for (const telemetry::StoredTrace &t :
+             telemetry::TraceStore::global().snapshot())
+            if (t.audited)
+                shots.push_back(t.shot);
+        std::sort(shots.begin(), shots.end());
+        std::map<std::string, uint64_t> counts;
+        for (const auto &[name, v] :
+             telemetry::MetricsRegistry::global().counterValues())
+            if (name.rfind("audit.", 0) == 0)
+                counts[name] = v;
+        EXPECT_EQ(counts["audit.queue_drops"], 0u);
+        EXPECT_EQ(counts["audit.sampled"], shots.size());
+        EXPECT_GT(shots.size(), 1000u);
+
+        if (threads == 1) {
+            reference_shots = shots;
+            reference_counts = counts;
+        } else {
+            EXPECT_EQ(shots, reference_shots);
+            EXPECT_EQ(counts, reference_counts);
+        }
+    }
+    telemetry::setEnabled(false);
+    telemetry::MetricsRegistry::global().reset();
 }
 
 TEST(AuditorTest, MismatchCaptureReplaysAndNarratesDivergence)

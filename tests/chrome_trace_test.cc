@@ -1,25 +1,34 @@
 /**
  * @file
- * Tests for the Chrome Trace Event exporter: structural validity of
- * the emitted JSON array, per-thread timestamp monotonicity, matched
- * B/E duration pairs (including spans emitted through ScopedTimer from
- * worker threads), counter/instant event shapes, and the JSON document
- * parser the forensics tooling reads traces back with.
+ * Tests for the Perfetto timeline export of the trace store's kept
+ * decodes (telemetry/chrome_trace.hh): the exported stage slices of a
+ * sampled run do not depend on the thread count, every matched decode
+ * shows its gather, matching and verdict stages, a batch shared by
+ * several kept traces appears once, an empty store exports a valid
+ * empty array, and a replayed capture exports each re-decoded record's
+ * stages — plus the JSON document parser the forensics tooling reads
+ * these files back with.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <map>
+#include <set>
 #include <sstream>
 #include <string>
-#include <thread>
+#include <tuple>
 #include <vector>
 
+#include "harness/block_engine.hh"
+#include "harness/memory_experiment.hh"
+#include "harness/replay.hh"
 #include "telemetry/chrome_trace.hh"
+#include "telemetry/decode_trace.hh"
 #include "telemetry/json_value.hh"
-#include "telemetry/scoped_timer.hh"
-#include "telemetry/telemetry.hh"
+#include "telemetry/trace_store.hh"
 
 using namespace astrea;
 using namespace astrea::telemetry;
@@ -33,29 +42,50 @@ tempPath(const char *name)
     return ::testing::TempDir() + name;
 }
 
-std::string
-readFile(const std::string &path)
+/** Export the store to a file and parse it back into its events. */
+std::vector<JsonValue>
+exportEvents(const TraceStore &store, const char *name)
 {
+    const std::string path = tempPath(name);
+    std::FILE *f = std::fopen(path.c_str(), "w");
+    EXPECT_NE(f, nullptr) << path;
+    if (f == nullptr)
+        return {};
+    writeChromeTrace(store, f);
+    std::fclose(f);
+
     std::ifstream in(path);
     std::ostringstream ss;
     ss << in.rdbuf();
-    return ss.str();
-}
-
-struct TelemetryOn
-{
-    TelemetryOn() { setEnabled(true); }
-    ~TelemetryOn() { setEnabled(false); }
-};
-
-/** Parse a finalized trace file into its event array. */
-std::vector<JsonValue>
-loadTrace(const std::string &path)
-{
     JsonValue doc;
-    EXPECT_TRUE(parseJson(readFile(path), doc));
+    EXPECT_TRUE(parseJson(ss.str(), doc)) << path;
     EXPECT_EQ(doc.kind, JsonValue::Array);
     return doc.arr;
+}
+
+/** Retention on with the given head stride, nothing kept for being
+ *  slow; off again when the test ends. */
+struct TracingOn
+{
+    explicit TracingOn(uint64_t stride, size_t ring)
+    {
+        TraceStore::global().configure(ring);
+        TraceRetentionConfig tc;
+        tc.enabled = true;
+        tc.tailThresholdNs = 1e12;
+        tc.headStride = stride;
+        setTraceRetention(tc);
+    }
+    ~TracingOn() { setTraceRetention(TraceRetentionConfig{}); }
+};
+
+/** (trace id, stage, shot) of one exported slice. */
+using SliceKey = std::tuple<std::string, std::string, uint64_t>;
+
+bool
+isStage(const std::string &name)
+{
+    return name == "gather" || name == "matching" || name == "verdict";
 }
 
 } // namespace
@@ -80,133 +110,125 @@ TEST(JsonValueTest, ParsesDocumentsTheWriterEmits)
     EXPECT_FALSE(parseJson("", bad));
 }
 
-TEST(ChromeTraceTest, EmitsStructurallyValidEventArray)
+TEST(ChromeTraceTest, EmptyStoreExportsAnEmptyArray)
 {
-    const std::string path = tempPath("chrome_basic.json");
-    {
-        ChromeTraceWriter writer(path);
-        ASSERT_TRUE(writer.ok());
-        writer.begin("alpha");
-        writer.counter("occupancy", 3.0);
-        writer.instant("capture");
-        writer.end("alpha");
-        EXPECT_EQ(writer.eventsWritten(), 4u);
-    }
-
-    auto events = loadTrace(path);
-    ASSERT_EQ(events.size(), 4u);
-    for (const JsonValue &e : events) {
-        EXPECT_EQ(e["cat"].asString(), "astrea");
-        EXPECT_EQ(e["pid"].asUint(), 1u);
-        EXPECT_GT(e["tid"].asUint(), 0u);
-        EXPECT_GE(e["ts"].asNumber(-1.0), 0.0);
-    }
-    EXPECT_EQ(events[0]["ph"].asString(), "B");
-    EXPECT_EQ(events[1]["ph"].asString(), "C");
-    EXPECT_DOUBLE_EQ(events[1]["args"]["value"].asNumber(), 3.0);
-    EXPECT_EQ(events[2]["ph"].asString(), "i");
-    EXPECT_EQ(events[2]["s"].asString(), "t");
-    EXPECT_EQ(events[3]["ph"].asString(), "E");
-    EXPECT_EQ(events[3]["name"].asString(), "alpha");
+    TraceStore store(8);
+    EXPECT_TRUE(exportEvents(store, "chrome_empty.json").empty());
 }
 
-TEST(ChromeTraceTest, TimestampsMonotonicAndPairsMatchedPerThread)
+TEST(ChromeTraceTest, StageSlicesAreTheSameAtAnyThreadCount)
 {
-    const std::string path = tempPath("chrome_threads.json");
-    {
-        ChromeTraceWriter writer(path);
-        auto worker = [&writer](int spans) {
-            for (int i = 0; i < spans; i++) {
-                writer.begin("outer");
-                writer.begin("inner");
-                writer.end("inner");
-                writer.end("outer");
+    ExperimentConfig cfg;
+    cfg.distance = 5;
+    cfg.physicalErrorRate = 1e-3;
+    ExperimentContext ctx(cfg);
+
+    std::multiset<SliceKey> reference;
+    for (unsigned threads : {1u, 2u, 4u}) {
+        SCOPED_TRACE(threads);
+        TracingOn tracing(29, 4096);
+        runMemoryExperiment(ctx, astreaFactory(), 4 * kBlockShots, 5,
+                            threads);
+        const TraceStore::Counters c = TraceStore::global().counters();
+        ASSERT_LT(c.kept, c.capacity) << "the ring must hold every trace";
+
+        std::multiset<SliceKey> slices;
+        std::map<std::string, std::set<std::string>> stages;
+        std::map<std::string, JsonValue> args;
+        std::set<std::pair<uint64_t, double>> batches;
+        for (const JsonValue &e :
+             exportEvents(TraceStore::global(), "chrome_run.json")) {
+            EXPECT_EQ(e["ph"].asString(), "X");
+            EXPECT_EQ(e["pid"].asUint(), 1u);
+            EXPECT_GE(e["ts"].asNumber(-1.0), 0.0);
+            EXPECT_GE(e["dur"].asNumber(-1.0), 0.0);
+            EXPECT_EQ(e["args"]["decoder"].asString(), "Astrea");
+            const std::string name = e["name"].asString();
+            if (name == "batch") {
+                // Several kept traces share a batch; it appears once.
+                EXPECT_TRUE(batches
+                                .emplace(e["tid"].asUint(),
+                                         e["ts"].asNumber())
+                                .second);
+                continue;
             }
-        };
-        std::thread a(worker, 25), b(worker, 25);
-        worker(10);
-        a.join();
-        b.join();
-    }
-
-    auto events = loadTrace(path);
-    ASSERT_EQ(events.size(), (25u + 25u + 10u) * 4u);
-
-    std::map<uint64_t, double> last_ts;
-    std::map<uint64_t, std::vector<std::string>> stacks;
-    for (const JsonValue &e : events) {
-        uint64_t tid = e["tid"].asUint();
-        double ts = e["ts"].asNumber(-1.0);
-        // The writer appends under one mutex, so the file order is
-        // also per-thread order.
-        if (last_ts.count(tid))
-            EXPECT_GE(ts, last_ts[tid]);
-        last_ts[tid] = ts;
-
-        std::string ph = e["ph"].asString();
-        if (ph == "B") {
-            stacks[tid].push_back(e["name"].asString());
-        } else if (ph == "E") {
-            ASSERT_FALSE(stacks[tid].empty());
-            EXPECT_EQ(stacks[tid].back(), e["name"].asString());
-            stacks[tid].pop_back();
+            const std::string id = e["args"]["trace_id"].asString();
+            ASSERT_FALSE(id.empty()) << name;
+            slices.emplace(id, name, e["args"]["shot"].asUint());
+            stages[id].insert(name);
+            args[id] = e["args"];
         }
+        EXPECT_FALSE(batches.empty());
+
+        // Every kept decode the decoder matched shows its three stages.
+        size_t matched = 0;
+        for (const auto &[id, a] : args) {
+            if (a["hw"].asUint() == 0 || a["outcome"].asString() == "give_up")
+                continue;
+            matched++;
+            EXPECT_EQ(stages[id],
+                      (std::set<std::string>{"gather", "matching",
+                                             "verdict"}))
+                << id;
+        }
+        EXPECT_GT(matched, 100u);
+
+        if (threads == 1)
+            reference = slices;
+        else
+            EXPECT_EQ(slices, reference);
     }
-    EXPECT_EQ(last_ts.size(), 3u);  // Three distinct tids.
-    for (const auto &[tid, stack] : stacks)
-        EXPECT_TRUE(stack.empty()) << "unclosed B events on tid " << tid;
 }
 
-TEST(ChromeTraceTest, ScopedTimerSpansFlowToGlobalTrace)
+TEST(ChromeTraceTest, ReplayedCaptureExportsEachRecordsStages)
 {
-    TelemetryOn on;
-    const std::string path = tempPath("chrome_spans.json");
-    setGlobalChromeTraceFile(path);
+    // A capture from Astrea-G starved of cycles: give-ups are certain
+    // within a few hundred shots.
+    const std::string path = tempPath("chrome_capture.json");
+    std::filesystem::remove(path);
+    ExperimentConfig cfg;
+    cfg.distance = 5;
+    cfg.physicalErrorRate = 4e-3;
+    AstreaGConfig agc;
+    agc.cycleBudget = 20;
     {
-        ASTREA_SPAN("unit_test");
-        {
-            ASTREA_SPAN("nested");
-        }
+        ExperimentContext ctx(cfg);
+        TraceStore::global().setCapturePath(path);
+        runMemoryExperiment(ctx, astreaGFactory(agc), 400, 99, 1);
+        TraceStore::global().setCapturePath("");
     }
-    setGlobalChromeTraceFile("");  // Finalize.
+    ReplayCapture capture;
+    std::string error;
+    ASSERT_TRUE(loadCapture(path, capture, &error)) << error;
 
-    auto events = loadTrace(path);
-    ASSERT_EQ(events.size(), 4u);
-    // Spans emit their leaf name; order is B(unit_test) B(nested)
-    // E(nested) E(unit_test).
-    EXPECT_EQ(events[0]["name"].asString(), "unit_test");
-    EXPECT_EQ(events[0]["ph"].asString(), "B");
-    EXPECT_EQ(events[1]["name"].asString(), "nested");
-    EXPECT_EQ(events[2]["name"].asString(), "nested");
-    EXPECT_EQ(events[2]["ph"].asString(), "E");
-    EXPECT_EQ(events[3]["name"].asString(), "unit_test");
-}
+    TracingOn tracing(1, 1024);
+    std::ostringstream narration;
+    const ReplaySummary summary =
+        replayCapture(capture, ReplayOptions{}, narration);
+    ASSERT_TRUE(summary.ok()) << narration.str();
 
-TEST(ChromeTraceTest, ReconfiguringMidSpanKeepsPairsBalanced)
-{
-    TelemetryOn on;
-    const std::string first = tempPath("chrome_first.json");
-    const std::string second = tempPath("chrome_second.json");
-    setGlobalChromeTraceFile(first);
-    {
-        ASTREA_SPAN("across_reconfig");
-        // The span began on the first writer; its end must not land on
-        // the second (that would leave first unbalanced and second
-        // with a stray E).
-        setGlobalChromeTraceFile(second);
-        {
-            ASTREA_SPAN("on_second");
-        }
+    // (stream, shot) -> the stages its exported slices name.
+    std::map<std::pair<uint64_t, uint64_t>, std::set<std::string>> seen;
+    std::set<std::string> ids;
+    for (const JsonValue &e :
+         exportEvents(TraceStore::global(), "chrome_replay.json")) {
+        const std::string name = e["name"].asString();
+        if (!isStage(name))
+            continue;
+        ids.insert(e["args"]["trace_id"].asString());
+        seen[{e["tid"].asUint(), e["args"]["shot"].asUint()}].insert(
+            name);
     }
-    setGlobalChromeTraceFile("");
 
-    auto first_events = loadTrace(first);
-    ASSERT_EQ(first_events.size(), 1u);
-    EXPECT_EQ(first_events[0]["ph"].asString(), "B");
-
-    auto second_events = loadTrace(second);
-    ASSERT_EQ(second_events.size(), 2u);
-    EXPECT_EQ(second_events[0]["name"].asString(), "on_second");
-    EXPECT_EQ(second_events[0]["ph"].asString(), "B");
-    EXPECT_EQ(second_events[1]["ph"].asString(), "E");
+    size_t decoded = 0;
+    for (const ReplayRecord &rec : capture.records) {
+        if (rec.truncated() || rec.hw == 0)
+            continue;
+        decoded++;
+        const std::pair<uint64_t, uint64_t> key(rec.stream, rec.shot);
+        EXPECT_FALSE(seen[key].empty())
+            << "no stage slice for record at shot " << rec.shot;
+    }
+    EXPECT_GT(decoded, 0u);
+    EXPECT_EQ(ids.size(), decoded);
 }

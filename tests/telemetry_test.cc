@@ -1,9 +1,9 @@
 /**
  * @file
  * Tests for the telemetry subsystem: sharded metrics merging under
- * concurrency, scoped-timer span nesting, percentile math, the JSON
- * writer, JSONL trace round-trips and leveled logging — plus the
- * give-up Hamming-weight histogram the harness exports.
+ * concurrency, percentile math, the JSON writer, the registry's JSON
+ * snapshot and leveled logging — plus the give-up Hamming-weight
+ * histogram the harness exports.
  */
 
 #include <gtest/gtest.h>
@@ -11,7 +11,6 @@
 #include <cctype>
 #include <cmath>
 #include <cstdio>
-#include <fstream>
 #include <map>
 #include <sstream>
 #include <string>
@@ -24,7 +23,6 @@
 #include "telemetry/export.hh"
 #include "telemetry/json.hh"
 #include "telemetry/metrics.hh"
-#include "telemetry/scoped_timer.hh"
 #include "telemetry/telemetry.hh"
 
 using namespace astrea;
@@ -395,41 +393,6 @@ TEST(MetricsTest, RegistryReferencesSurviveReset)
     reg.reset();
 }
 
-TEST(ScopedTimerTest, NestingBuildsSlashPaths)
-{
-    TelemetryOn on;
-    MetricsRegistry::global().reset();
-
-    EXPECT_EQ(ScopedTimer::currentPath(), "");
-    EXPECT_EQ(ScopedTimer::currentDepth(), 0u);
-    {
-        ScopedTimer outer("outer");
-        EXPECT_EQ(outer.path(), "outer");
-        EXPECT_EQ(ScopedTimer::currentPath(), "outer");
-        EXPECT_EQ(ScopedTimer::currentDepth(), 1u);
-        {
-            ScopedTimer inner("inner");
-            EXPECT_EQ(inner.path(), "outer/inner");
-            EXPECT_EQ(ScopedTimer::currentPath(), "outer/inner");
-            EXPECT_EQ(ScopedTimer::currentDepth(), 2u);
-            EXPECT_GE(inner.elapsedNs(), 0.0);
-        }
-        EXPECT_EQ(ScopedTimer::currentPath(), "outer");
-    }
-    EXPECT_EQ(ScopedTimer::currentDepth(), 0u);
-
-    auto spans = MetricsRegistry::global().latencyValues();
-    ASSERT_TRUE(spans.count("span.outer"));
-    ASSERT_TRUE(spans.count("span.outer/inner"));
-    EXPECT_EQ(spans["span.outer"].count, 1u);
-    EXPECT_EQ(spans["span.outer/inner"].count, 1u);
-    // The inner span completes before the outer one, so its time is
-    // contained in the outer's.
-    EXPECT_LE(spans["span.outer/inner"].maxNs,
-              spans["span.outer"].maxNs);
-    MetricsRegistry::global().reset();
-}
-
 TEST(ExportTest, MetricsJsonRoundTrip)
 {
     MetricsRegistry &reg = MetricsRegistry::global();
@@ -455,97 +418,6 @@ TEST(ExportTest, MetricsJsonRoundTrip)
     EXPECT_DOUBLE_EQ(l["max_ns"].num, 128.0);
     EXPECT_DOUBLE_EQ(l["p50_ns"].num, 128.0);
     reg.reset();
-}
-
-TEST(ExportTest, TraceWriterEmitsParsableJsonl)
-{
-    const std::string path =
-        ::testing::TempDir() + "/astrea_trace_test.jsonl";
-    {
-        TraceWriter tw(path);
-        ASSERT_TRUE(tw.ok());
-        JsonWriter a;
-        a.beginObject().kv("type", "shot").kv("shot", uint64_t{1});
-        a.endObject();
-        tw.line(a.str());
-        JsonWriter b;
-        b.beginObject().kv("type", "span").kv("ns", 17.5);
-        b.endObject();
-        tw.line(b.str());
-        EXPECT_EQ(tw.linesWritten(), 2u);
-    }
-    std::ifstream in(path);
-    ASSERT_TRUE(in.good());
-    std::string line;
-    std::vector<LocalJsonValue> events;
-    while (std::getline(in, line)) {
-        LocalJsonValue v;
-        ASSERT_TRUE(parseJson(line, v)) << line;
-        events.push_back(v);
-    }
-    ASSERT_EQ(events.size(), 2u);
-    EXPECT_EQ(events[0]["type"].str, "shot");
-    EXPECT_EQ(events[0]["shot"].num, 1.0);
-    EXPECT_EQ(events[1]["type"].str, "span");
-    EXPECT_DOUBLE_EQ(events[1]["ns"].num, 17.5);
-    std::remove(path.c_str());
-}
-
-TEST(ExportTest, GlobalTraceCapturesSpans)
-{
-    TelemetryOn on;
-    const std::string path =
-        ::testing::TempDir() + "/astrea_span_trace.jsonl";
-    setGlobalTraceFile(path);
-    {
-        ScopedTimer t("traced_span");
-    }
-    setGlobalTraceFile("");  // Flush and disable.
-
-    std::ifstream in(path);
-    ASSERT_TRUE(in.good());
-    std::string line;
-    bool found = false;
-    while (std::getline(in, line)) {
-        LocalJsonValue v;
-        ASSERT_TRUE(parseJson(line, v)) << line;
-        if (v["type"].str == "span" &&
-            v["path"].str == "traced_span") {
-            EXPECT_GE(v["ns"].num, 0.0);
-            found = true;
-        }
-    }
-    EXPECT_TRUE(found);
-    std::remove(path.c_str());
-    MetricsRegistry::global().reset();
-}
-
-TEST(ExportTest, ParseTraceStrideValidation)
-{
-    bool invalid = true;
-    EXPECT_EQ(parseTraceStride(nullptr, &invalid), 1u);
-    EXPECT_FALSE(invalid);
-    EXPECT_EQ(parseTraceStride("", &invalid), 1u);
-    EXPECT_FALSE(invalid);
-
-    EXPECT_EQ(parseTraceStride("5", &invalid), 5u);
-    EXPECT_FALSE(invalid);
-    EXPECT_EQ(parseTraceStride("1000000", &invalid), 1000000u);
-    EXPECT_FALSE(invalid);
-
-    // A zero stride would divide by zero in shot % stride; garbage
-    // must fall back to sampling every shot rather than none.
-    EXPECT_EQ(parseTraceStride("0", &invalid), 1u);
-    EXPECT_TRUE(invalid);
-    EXPECT_EQ(parseTraceStride("abc", &invalid), 1u);
-    EXPECT_TRUE(invalid);
-    EXPECT_EQ(parseTraceStride("3x", &invalid), 1u);
-    EXPECT_TRUE(invalid);
-    EXPECT_EQ(parseTraceStride("-2", &invalid), 1u);
-    EXPECT_TRUE(invalid);
-
-    // The null flag form must not crash.
-    EXPECT_EQ(parseTraceStride("7", nullptr), 7u);
 }
 
 TEST(LoggingTest, LevelFilterDropsBelowThreshold)

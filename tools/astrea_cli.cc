@@ -30,9 +30,10 @@
  * with Prometheus /metrics, JSON /statusz and /healthz endpoints.
  * Flags override the ASTREA_SERVE_* environment knobs.
  *
- * All modes accept the shared forensics flags --log-level=LVL,
- * --trace-file=PATH and --chrome-trace=PATH (flags win over their
- * ASTREA_* environment equivalents).
+ * All modes accept the shared forensics flags --log-level=LVL and
+ * --chrome-trace=PATH (flags win over their ASTREA_* environment
+ * equivalents). `replay --chrome-trace=PATH` keeps every record it
+ * re-decodes, so the timeline shows each record's stage spans.
  *
  * Shot budgets default to laptop scale; override with ASTREA_SHOTS or
  * --shots. Results append to the output file, as the artifact does.
@@ -61,6 +62,7 @@
 #include "harness/hw_histogram.hh"
 #include "harness/memory_experiment.hh"
 #include "harness/replay.hh"
+#include "telemetry/decode_trace.hh"
 #include "telemetry/metrics.hh"
 #include "telemetry/trace_store.hh"
 
@@ -195,6 +197,14 @@ commandReplay(const std::vector<std::string> &pos, const Options &opts)
         }
         ropts.verbose = true;  // Narrating the trace is the point.
     }
+    // A replay writes no capture of its own, and keeps every record it
+    // re-decodes when tracing is on (--chrome-trace).
+    telemetry::TraceStore &store = telemetry::TraceStore::global();
+    store.setCapturePath("");
+    store.setCaptureDir("");
+    telemetry::TraceRetentionConfig retention = telemetry::traceRetention();
+    retention.headStride = 1;
+    telemetry::setTraceRetention(retention);
     ReplaySummary summary = replayCapture(capture, ropts, std::cout);
     return summary.ok() ? 0 : 1;
 }
@@ -546,7 +556,7 @@ usage(const char *argv0)
         "[--seed=N]\n"
         "or:    %s list-decoders\n"
         "flags: --shots=N --seed=N --log-level=LVL "
-        "--trace-file=PATH --chrome-trace=PATH --perf-counters\n"
+        "--chrome-trace=PATH --perf-counters\n"
         "       (serve exposes /pprof/profile?seconds=N&hz=H"
         "&format=collapsed|speedscope)\n",
         argv0, argv0, argv0, argv0, argv0);
