@@ -21,7 +21,8 @@
  * whatever ASTREA_FORCE_KERNEL pins for the decoders.
  *
  * The original google-benchmark suite (blossom, DP, full decoders,
- * samplers) is kept behind --gbench.
+ * samplers), with the decoding-graph and GWT builds at d = 5, 7 and 9,
+ * is kept behind --gbench.
  *
  * Usage: bench_matching_micro [--json-out=report.json] [--reps=N]
  *                             [--gbench [--benchmark_filter=...]]
@@ -31,6 +32,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <map>
 #include <memory>
 #include <vector>
 
@@ -51,17 +53,26 @@ using namespace astrea;
 namespace
 {
 
+/** A p = 1e-3 context at distance d, built once per distance. */
+const ExperimentContext &
+contextAt(int64_t d)
+{
+    static std::map<int64_t, ExperimentContext> contexts;
+    auto it = contexts.find(d);
+    if (it == contexts.end()) {
+        ExperimentConfig cfg;
+        cfg.distance = static_cast<uint32_t>(d);
+        cfg.physicalErrorRate = 1e-3;
+        it = contexts.emplace(d, ExperimentContext(cfg)).first;
+    }
+    return it->second;
+}
+
 /** Shared d = 7, p = 1e-3 context (built once). */
 const ExperimentContext &
 benchContext()
 {
-    static ExperimentContext ctx = [] {
-        ExperimentConfig cfg;
-        cfg.distance = 7;
-        cfg.physicalErrorRate = 1e-3;
-        return ExperimentContext(cfg);
-    }();
-    return ctx;
+    return contextAt(7);
 }
 
 /** Pre-sampled syndromes of a fixed Hamming weight. */
@@ -409,6 +420,29 @@ BM_UnionFindDecode(benchmark::State &state)
     }
 }
 BENCHMARK(BM_UnionFindDecode)->Arg(4)->Arg(8)->Arg(12);
+
+void
+BM_DecodingGraphBuild(benchmark::State &state)
+{
+    const ErrorModel &model = contextAt(state.range(0)).errorModel();
+    for (auto _ : state) {
+        DecodingGraph graph(model);
+        benchmark::DoNotOptimize(graph.edges().data());
+    }
+}
+BENCHMARK(BM_DecodingGraphBuild)->Arg(5)->Arg(7)->Arg(9);
+
+/** Real time: the rows are built on defaultWorkerCount() workers. */
+void
+BM_GwtBuild(benchmark::State &state)
+{
+    const DecodingGraph &graph = contextAt(state.range(0)).graph();
+    for (auto _ : state) {
+        GlobalWeightTable gwt(graph);
+        benchmark::DoNotOptimize(gwt.exactWeight(0, 0));
+    }
+}
+BENCHMARK(BM_GwtBuild)->Arg(5)->Arg(7)->Arg(9)->UseRealTime();
 
 void
 BM_DemSamplerShot(benchmark::State &state)

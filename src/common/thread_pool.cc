@@ -10,33 +10,20 @@ namespace astrea
 {
 
 void
-parallelFor(uint64_t total, unsigned num_workers,
-            const std::function<void(unsigned, uint64_t, uint64_t)> &body)
+runBlocks(uint64_t blocks, unsigned threads,
+          const std::function<void(unsigned, std::atomic<uint64_t> &)> &worker)
 {
-    if (total == 0)
-        return;
-    num_workers = std::max(1u, num_workers);
-    num_workers = static_cast<unsigned>(
-        std::min<uint64_t>(num_workers, total));
-    if (num_workers == 1) {
-        body(0, 0, total);
-        return;
-    }
-    std::vector<std::thread> threads;
-    threads.reserve(num_workers);
-    uint64_t chunk = total / num_workers;
-    uint64_t rem = total % num_workers;
-    uint64_t begin = 0;
-    for (unsigned w = 0; w < num_workers; w++) {
-        uint64_t len = chunk + (w < rem ? 1 : 0);
-        uint64_t end = begin + len;
-        threads.emplace_back([&body, w, begin, end] {
-            body(w, begin, end);
+    const uint64_t workers =
+        std::min<uint64_t>(threads ? threads : defaultWorkerCount(), blocks);
+    std::atomic<uint64_t> next_block{0};
+    // jthreads join on destruction, also when worker 0 throws.
+    std::vector<std::jthread> others;
+    for (unsigned w = 1; w < workers; w++)
+        others.emplace_back([&worker, &next_block, w] {
+            worker(w, next_block);
         });
-        begin = end;
-    }
-    for (auto &t : threads)
-        t.join();
+    if (workers > 0)
+        worker(0, next_block);
 }
 
 unsigned
@@ -47,120 +34,6 @@ defaultWorkerCount()
         return static_cast<unsigned>(v);
     unsigned hw = std::thread::hardware_concurrency();
     return hw ? hw : 1;
-}
-
-ThreadPool::ThreadPool(unsigned workers)
-{
-    workers_.reserve(std::max(1u, workers));
-    for (unsigned i = 0; i < std::max(1u, workers); i++)
-        workers_.emplace_back([this] { workerLoop(); });
-}
-
-ThreadPool::~ThreadPool()
-{
-    shutdown();
-}
-
-bool
-ThreadPool::enqueue(std::function<void()> task)
-{
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        if (stopping_)
-            return false;
-        tasks_.push_back(std::move(task));
-    }
-    cv_.notify_one();
-    return true;
-}
-
-void
-ThreadPool::reserveRawSlots(size_t slots)
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    if (slots < rawCount_)
-        return;  // Never drop queued raw tasks.
-    std::vector<RawSlot> fresh(slots);
-    for (size_t i = 0; i < rawCount_; i++)
-        fresh[i] = rawSlots_[(rawHead_ + i) % rawSlots_.size()];
-    rawSlots_ = std::move(fresh);
-    rawHead_ = 0;
-}
-
-bool
-ThreadPool::enqueueRaw(RawTask fn, void *arg)
-{
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        if (stopping_ || rawCount_ == rawSlots_.size())
-            return false;
-        RawSlot &slot =
-            rawSlots_[(rawHead_ + rawCount_) % rawSlots_.size()];
-        slot.fn = fn;
-        slot.arg = arg;
-        rawCount_++;
-    }
-    cv_.notify_one();
-    return true;
-}
-
-void
-ThreadPool::shutdown()
-{
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        if (stopping_ && workers_.empty())
-            return;
-        stopping_ = true;
-    }
-    // Wake EVERY worker: each one re-evaluates its predicate, drains
-    // whatever tasks remain, and exits only once the queue is empty —
-    // a task accepted before the stopping_ flip can therefore never
-    // be stranded by a lost wakeup.
-    cv_.notify_all();
-    for (auto &w : workers_)
-        w.join();
-    workers_.clear();
-}
-
-uint64_t
-ThreadPool::completedTasks() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return completed_;
-}
-
-void
-ThreadPool::workerLoop()
-{
-    std::unique_lock<std::mutex> lock(mu_);
-    for (;;) {
-        cv_.wait(lock, [this] {
-            return stopping_ || rawCount_ > 0 || !tasks_.empty();
-        });
-        if (rawCount_ > 0) {
-            // Raw slots first: the hot path that queued them is
-            // latency-sensitive, and draining keeps slots free.
-            RawSlot slot = rawSlots_[rawHead_];
-            rawHead_ = (rawHead_ + 1) % rawSlots_.size();
-            rawCount_--;
-            lock.unlock();
-            slot.fn(slot.arg);
-            lock.lock();
-            completed_++;
-            continue;
-        }
-        if (tasks_.empty()) {
-            // stopping_ and nothing left to drain.
-            return;
-        }
-        std::function<void()> task = std::move(tasks_.front());
-        tasks_.pop_front();
-        lock.unlock();
-        task();
-        lock.lock();
-        completed_++;
-    }
 }
 
 } // namespace astrea

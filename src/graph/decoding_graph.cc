@@ -1,7 +1,9 @@
 #include "graph/decoding_graph.hh"
 
+#include <algorithm>
 #include <cmath>
-#include <map>
+#include <limits>
+#include <tuple>
 
 #include "common/logging.hh"
 #include "common/weight.hh"
@@ -31,14 +33,21 @@ DecodingGraph::DecodingGraph(const ErrorModel &model)
       adjacency_(model.numDetectors()),
       boundaryEdge_(model.numDetectors(), -1)
 {
-    // First merge parallel mechanisms keyed by (endpoints, obs mask).
-    std::map<std::tuple<uint32_t, uint32_t, uint64_t>, double> merged;
-
-    auto accumulate = [&](uint32_t u, uint32_t v, uint64_t obs, double p) {
+    // Each mechanism's contributions, keyed by (endpoints, obs mask)
+    // and numbered in mechanism order.
+    struct Part
+    {
+        uint32_t u, v;
+        uint64_t obs;
+        uint32_t order;
+        double p;
+    };
+    std::vector<Part> parts;
+    parts.reserve(model.mechanisms().size());
+    auto contribute = [&](uint32_t u, uint32_t v, uint64_t obs, double p) {
         if (u > v)
             std::swap(u, v);
-        double &acc = merged[{u, v, obs}];
-        acc = acc * (1.0 - p) + p * (1.0 - acc);
+        parts.push_back({u, v, obs, static_cast<uint32_t>(parts.size()), p});
     };
 
     for (const auto &m : model.mechanisms()) {
@@ -50,46 +59,55 @@ DecodingGraph::DecodingGraph(const ErrorModel &model)
         }
         stats_.mechanismsUsed++;
         if (dets.size() == 1) {
-            accumulate(dets[0], kBoundaryNode, m.observables,
-                       m.probability);
+            contribute(dets[0], kBoundaryNode, m.observables, m.probability);
         } else if (dets.size() == 2) {
-            accumulate(dets[0], dets[1], m.observables, m.probability);
+            contribute(dets[0], dets[1], m.observables, m.probability);
         } else {
             // Non-graphlike mechanism: decompose into a chain of pairs,
             // attaching the observable effect to the first pair (the
             // XOR of the chain reproduces the symptom set).
             stats_.decomposedMechanisms++;
             for (size_t i = 0; i + 1 < dets.size(); i += 2) {
-                accumulate(dets[i], dets[i + 1],
+                contribute(dets[i], dets[i + 1],
                            i == 0 ? m.observables : 0, m.probability);
             }
-            if (dets.size() % 2 == 1) {
-                accumulate(dets.back(), kBoundaryNode, 0, m.probability);
+            if (dets.size() % 2 == 1)
+                contribute(dets.back(), kBoundaryNode, 0, m.probability);
+        }
+    }
+
+    // One sort groups the parallel mechanisms of each key, still in
+    // mechanism order, and the keys of each edge in (u, v) order, the
+    // boundary (kBoundaryNode) last.
+    std::sort(parts.begin(), parts.end(), [](const Part &a, const Part &b) {
+        return std::tie(a.u, a.v, a.obs, a.order) <
+               std::tie(b.u, b.v, b.obs, b.order);
+    });
+    for (size_t i = 0; i < parts.size();) {
+        const uint32_t u = parts[i].u, v = parts[i].v;
+        double best_p = 0.0;
+        uint64_t best_obs = 0;
+        for (bool first = true;
+             i < parts.size() && parts[i].u == u && parts[i].v == v;
+             first = false) {
+            // Merge a key's mechanisms: p = p1(1-p2) + p2(1-p1).
+            const uint64_t obs = parts[i].obs;
+            double p = 0.0;
+            for (; i < parts.size() && parts[i].u == u && parts[i].v == v &&
+                   parts[i].obs == obs;
+                 i++)
+                p = p * (1.0 - parts[i].p) + parts[i].p * (1.0 - p);
+            // Parallel edges that differ only in observable mask are
+            // physically distinct chains; the decoder can only pick
+            // one, so keep the more probable (the first on a tie).
+            if (!first)
+                stats_.obsConflicts++;
+            if (first || p > best_p) {
+                best_p = p;
+                best_obs = obs;
             }
         }
-    }
-
-    // Resolve parallel edges that differ only in observable mask: keep
-    // the more probable one (they are physically distinct chains; the
-    // decoder can only pick one, so we keep the likely one).
-    std::map<std::pair<uint32_t, uint32_t>,
-             std::pair<double, uint64_t>> best;
-    for (const auto &[key, p] : merged) {
-        auto [u, v, obs] = key;
-        auto it = best.find({u, v});
-        if (it == best.end()) {
-            best[{u, v}] = {p, obs};
-        } else {
-            stats_.obsConflicts++;
-            if (p > it->second.first)
-                it->second = {p, obs};
-        }
-    }
-
-    for (const auto &[uv, po] : best) {
-        auto [u, v] = uv;
-        auto [p, obs] = po;
-        addEdge(u, v, p, obs);
+        addEdge(u, v, best_p, best_obs);
     }
 }
 

@@ -11,33 +11,30 @@ namespace astrea
 
 GlobalWeightTable::GlobalWeightTable(const DecodingGraph &graph)
     : size_(graph.numNodes()),
-      quantized_(static_cast<size_t>(graph.numNodes()) * graph.numNodes(),
-                 kInfiniteWeight),
-      exact_(static_cast<size_t>(graph.numNodes()) * graph.numNodes(),
-             std::numeric_limits<double>::infinity()),
-      obsMask_(static_cast<size_t>(graph.numNodes()) * graph.numNodes(), 0)
+      quantized_(static_cast<size_t>(size_) * size_),
+      exact_(static_cast<size_t>(size_) * size_),
+      obsMask_(static_cast<size_t>(size_) * size_)
 {
-    // One Dijkstra per row; rows are independent, so shard over threads.
-    parallelFor(size_, defaultWorkerCount(),
-                [&](unsigned, uint64_t begin, uint64_t end) {
-        for (uint64_t i = begin; i < end; i++) {
-            auto src = static_cast<uint32_t>(i);
-            ShortestPaths sp = dijkstraFrom(graph, src);
+    auto quantize = [](double w) {
+        return std::isinf(w) ? kInfiniteWeight : quantizeWeight(w);
+    };
+    // One Dijkstra per row. Rows are independent, so workers claim them
+    // on the shared loop, each in its own reused workspace.
+    const ShortestPathGraph paths(graph);
+    runBlocks(size_, 0, [&](unsigned, std::atomic<uint64_t> &next_row) {
+        DijkstraWorkspace ws(paths);
+        for (uint64_t row;
+             (row = next_row.fetch_add(1, std::memory_order_relaxed)) <
+             size_;) {
+            const auto src = static_cast<uint32_t>(row);
+            ws.run(src);
             for (uint32_t j = 0; j < size_; j++) {
-                if (j == src)
-                    continue;
-                exact_[idx(src, j)] = sp.dist[j];
-                quantized_[idx(src, j)] = std::isinf(sp.dist[j])
-                                              ? kInfiniteWeight
-                                              : quantizeWeight(sp.dist[j]);
-                obsMask_[idx(src, j)] = sp.obsMask[j];
+                const double w = j == src ? ws.boundaryDist() : ws.dist()[j];
+                exact_[idx(src, j)] = w;
+                quantized_[idx(src, j)] = quantize(w);
+                obsMask_[idx(src, j)] =
+                    j == src ? ws.boundaryObs() : ws.obsMask()[j];
             }
-            exact_[idx(src, src)] = sp.boundaryDist;
-            quantized_[idx(src, src)] =
-                std::isinf(sp.boundaryDist)
-                    ? kInfiniteWeight
-                    : quantizeWeight(sp.boundaryDist);
-            obsMask_[idx(src, src)] = sp.boundaryObs;
         }
     });
 }

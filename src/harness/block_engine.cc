@@ -1,28 +1,7 @@
 #include "harness/block_engine.hh"
 
-#include <thread>
-
-#include "common/thread_pool.hh"
-
 namespace astrea
 {
-
-void
-runBlocks(uint64_t blocks, unsigned threads,
-          const std::function<void(unsigned, std::atomic<uint64_t> &)> &worker)
-{
-    const uint64_t workers =
-        std::min<uint64_t>(threads ? threads : defaultWorkerCount(), blocks);
-    std::atomic<uint64_t> next_block{0};
-    // jthreads join on destruction, also when worker 0 throws.
-    std::vector<std::jthread> others;
-    for (unsigned w = 1; w < workers; w++)
-        others.emplace_back([&worker, &next_block, w] {
-            worker(w, next_block);
-        });
-    if (workers > 0)
-        worker(0, next_block);
-}
 
 ShotStream::ShotStream(uint64_t seed, uint64_t shots, uint32_t stream)
     : seed_(seed), shots_(shots), stream_(stream),

@@ -5,7 +5,8 @@
  * A run's shots are cut into fixed-size blocks. Block b holds the
  * global shots [b * B, (b + 1) * B) and draws them in order from
  * Rng(seed).split(b), whichever worker runs it; workers claim blocks
- * from one atomic counter, which also balances their load. So a
+ * on the program's one parallel loop (runBlocks(),
+ * common/thread_pool.hh), which also balances their load. So a
  * sampled result depends on the seed alone, and shot g of a seed is
  * the same syndrome in every loop that samples the error model:
  * runMemoryExperiment(), the decode service's workers, the latency and
@@ -18,11 +19,11 @@
 
 #include <algorithm>
 #include <atomic>
-#include <functional>
 #include <map>
 #include <mutex>
 
 #include "audit/auditor.hh"
+#include "common/thread_pool.hh"
 #include "harness/memory_experiment.hh"
 #include "telemetry/decode_trace.hh"
 
@@ -46,16 +47,6 @@ blockCount(uint64_t shots, uint64_t block_shots)
 {
     return shots / block_shots + (shots % block_shots != 0 ? 1 : 0);
 }
-
-/**
- * Run worker(index, next_block) once on each of `threads` workers (0 =
- * defaultWorkerCount(), at most one per block), worker 0 on the
- * caller's thread. Each claims blocks [0, blocks) in order by
- * next_block.fetch_add(1) until it passes the last.
- */
-void runBlocks(
-    uint64_t blocks, unsigned threads,
-    const std::function<void(unsigned, std::atomic<uint64_t> &)> &worker);
 
 /** What the tracer and the auditor see of one decoded shot. */
 inline telemetry::TraceShotOutcome

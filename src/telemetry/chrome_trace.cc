@@ -49,34 +49,43 @@ writeChromeTrace(const TraceStore &store, std::FILE *out)
     std::set<std::pair<uint32_t, uint64_t>> batches_written;
     const char *separator = "\n";
     std::fputc('[', out);
+    auto slice = [&](const StoredTrace &t, const char *name,
+                     uint64_t offset_ns, uint64_t dur_ns, bool batch) {
+        JsonWriter w;
+        w.beginObject().kv("name", name).kv("cat", "astrea").kv("ph", "X");
+        w.key("ts").raw(
+            microsecondsJson(t.batchStartNs - epoch_ns + offset_ns));
+        w.key("dur").raw(microsecondsJson(dur_ns));
+        w.kv("pid", uint64_t{1}).kv("tid", t.stream);
+        w.key("args").beginObject().kv("decoder", t.decoder);
+        if (!batch) {
+            w.kv("trace_id", traceIdHex(t.traceId))
+                .kv("shot", t.shot)
+                .kv("hw", t.hw)
+                .kv("outcome", traceOutcomeName(t));
+        }
+        w.endObject().endObject();
+        std::fputs(separator, out);
+        separator = ",\n";
+        std::fwrite(w.str().data(), 1, w.str().size(), out);
+    };
     for (const StoredTrace &t : traces) {
+        bool named = false;
         for (uint32_t i = 0; i < t.numSpans && i < kTraceMaxSpans; i++) {
             const TraceSpan &sp = t.spans[i];
             const bool batch = sp.shot < 0;
+            named = named || !batch;
             if (batch &&
                 !batches_written.emplace(t.stream, t.batchStartNs).second)
                 continue;
-            const uint64_t start_ns = t.batchStartNs - epoch_ns + sp.startNs;
-            JsonWriter w;
-            w.beginObject()
-                .kv("name", perfStageName(static_cast<PerfStage>(sp.stage)))
-                .kv("cat", "astrea")
-                .kv("ph", "X");
-            w.key("ts").raw(microsecondsJson(start_ns));
-            w.key("dur").raw(microsecondsJson(sp.durNs));
-            w.kv("pid", uint64_t{1}).kv("tid", t.stream);
-            w.key("args").beginObject().kv("decoder", t.decoder);
-            if (!batch) {
-                w.kv("trace_id", traceIdHex(t.traceId))
-                    .kv("shot", t.shot)
-                    .kv("hw", t.hw)
-                    .kv("outcome", traceOutcomeName(t));
-            }
-            w.endObject().endObject();
-            std::fputs(separator, out);
-            separator = ",\n";
-            std::fwrite(w.str().data(), 1, w.str().size(), out);
+            slice(t, perfStageName(static_cast<PerfStage>(sp.stage)),
+                  sp.startNs, sp.durNs, batch);
         }
+        // A decode with no stage of its own (HW 0, or a give-up before
+        // any stage ran) is still named, by a zero-duration slice at
+        // its batch start.
+        if (!named)
+            slice(t, "decode", 0, 0, false);
     }
     std::fputs("\n]\n", out);
 }

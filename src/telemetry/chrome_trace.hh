@@ -11,7 +11,9 @@
  * that chrome://tracing and ui.perfetto.dev read: one complete ("X")
  * event per kept span, on one track per stream, with the trace id,
  * shot, HW, decoder and outcome in its args. A batch span that several
- * kept traces share appears once.
+ * kept traces share appears once. A kept decode with no stage span of
+ * its own (HW 0, or a give-up before any stage ran) is named by one
+ * zero-duration "decode" event at its batch start.
  *
  * --chrome-trace=PATH (or ASTREA_CHROME_TRACE) on the benches that
  * take the forensics flags and on astrea_cli turns trace retention on

@@ -68,16 +68,18 @@ loadWords(uint64_t *words, StoredTrace *out)
 
 /**
  * One ring slot. The payload is published under a per-slot sequence
- * (odd = write in progress, even = stable) and copied as relaxed
- * atomic words, so a reader racing a writer sees stale or mixed words
- * — which the sequence re-check rejects — but never a data race. The
- * audit annotation is an atomic side channel keyed by annId so the
+ * (odd = write in progress, even = stable; 0 = never written) and
+ * copied as relaxed atomic words, so a reader racing a writer sees
+ * stale or mixed words — which the sequence re-check rejects — but
+ * never a data race. The payload starts uninitialized: nothing reads a
+ * slot's words before its sequence is nonzero and even. The audit
+ * annotation is an atomic side channel keyed by annId so the
  * background auditor never has to take part in the seqlock protocol.
  */
 struct TraceStore::Slot
 {
     std::atomic<uint64_t> seq{0};
-    uint64_t words[kTraceWords] = {};
+    uint64_t words[kTraceWords];
 
     std::atomic<uint64_t> annId{0};
     /** bit 0 done, 1 mismatch, 2 DP oracle, 3 quantized weights. */
@@ -130,7 +132,8 @@ void
 TraceStore::configure(size_t capacity)
 {
     capacity_ = std::max<size_t>(1, capacity);
-    slots_ = std::make_unique<Slot[]>(capacity_);
+    // Default-initialized: the payload words are not zero-filled.
+    slots_ = std::make_unique_for_overwrite<Slot[]>(capacity_);
     head_.store(0, relaxed_);
     considered_.store(0, relaxed_);
     kept_.store(0, relaxed_);

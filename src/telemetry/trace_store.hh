@@ -13,7 +13,9 @@
  *    release store of the next even value; the payload moves in and
  *    out as relaxed atomic words, and readers re-check the sequence,
  *    retrying torn reads. Nothing blocks and nothing allocates on the
- *    keep path — the slot array is allocated once at configure();
+ *    keep path — the slot array is allocated once at configure(),
+ *    its payloads not zero-filled, since no reader opens a slot
+ *    before its first write;
  *  - a per-latency-bucket exemplar table (the log2 buckets of
  *    telemetry/metrics.hh, the same geometry the /metrics latency
  *    histogram exposes). Each bucket pins a full copy of its

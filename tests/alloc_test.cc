@@ -33,7 +33,6 @@
 #include "compression/syndrome_codec.hh"
 #include "common/alloc_counter.hh"
 #include "common/rng.hh"
-#include "common/thread_pool.hh"
 #include "decoders/registry.hh"
 #include "harness/block_engine.hh"
 #include "harness/decode_service.hh"
@@ -388,45 +387,6 @@ TEST(AllocCounter, AuditEnqueueIsAllocationFree)
         << syndromes.size() << " offers";
 }
 
-TEST(AllocCounter, ThreadPoolRawEnqueueIsAllocationFree)
-{
-    // enqueueRaw() must hand work to the pool without constructing a
-    // std::function or touching the heap; enqueue() (the
-    // std::function path) is allowed to allocate, which is exactly
-    // why the raw path exists.
-    ThreadPool pool(2);
-    pool.reserveRawSlots(256);
-
-    std::atomic<uint64_t> ran{0};
-    auto bump = [](void *arg) {
-        static_cast<std::atomic<uint64_t> *>(arg)->fetch_add(
-            1, std::memory_order_relaxed);
-    };
-
-    // Warm-up: settle any lazy one-time state in the pool/OS.
-    for (int i = 0; i < 64; i++) {
-        while (!pool.enqueueRaw(bump, &ran))
-            std::this_thread::yield();
-    }
-    while (ran.load() < 64)
-        std::this_thread::yield();
-
-    const uint64_t before = allocCount();
-    for (int i = 0; i < 200; i++) {
-        while (!pool.enqueueRaw(bump, &ran))
-            std::this_thread::yield();
-    }
-    const uint64_t allocs = allocCount() - before;
-    EXPECT_EQ(allocs, 0u)
-        << "enqueueRaw allocated " << allocs << " times across 200 "
-        << "steady-state submissions";
-
-    while (ran.load() < 264)
-        std::this_thread::yield();
-    pool.shutdown();
-    EXPECT_EQ(ran.load(), 264u);
-}
-
 TEST(AllocCounter, FleetIngestToDecodePathIsAllocationFree)
 {
     // The full wire-to-verdict hot path, driven synchronously the way
@@ -691,8 +651,10 @@ TEST(AllocCounter, FleetClientSendShotIsAllocationFree)
     // so the measured loop makes no syscall either.
     uint32_t seq = 0;
     auto stage = [&] {
-        for (const auto &s : shots)
-            ASSERT_TRUE(client.sendShot(seq % 16, seq++, 7, s));
+        for (const auto &s : shots) {
+            const uint32_t stream = seq % 16;
+            ASSERT_TRUE(client.sendShot(stream, seq++, 7, s));
+        }
     };
     auto wait_queued = [&](size_t n) {
         const auto deadline =

@@ -4,14 +4,16 @@
  * decodes (telemetry/chrome_trace.hh): the exported stage slices of a
  * sampled run do not depend on the thread count, every matched decode
  * shows its gather, matching and verdict stages, a batch shared by
- * several kept traces appears once, an empty store exports a valid
- * empty array, and a replayed capture exports each re-decoded record's
+ * several kept traces appears once, a kept decode with no stage is
+ * named at its batch start, an empty store exports a valid empty
+ * array, and a replayed capture exports each re-decoded record's
  * stages — plus the JSON document parser the forensics tooling reads
  * these files back with.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -178,6 +180,58 @@ TEST(ChromeTraceTest, StageSlicesAreTheSameAtAnyThreadCount)
         else
             EXPECT_EQ(slices, reference);
     }
+}
+
+TEST(ChromeTraceTest, TracesWithoutStagesAreNamedAtTheirBatchStart)
+{
+    // Astrea gives up above HW 10 before any stage runs, and an HW 0
+    // decode runs none either: each such kept trace is named by one
+    // zero-duration "decode" slice at its batch start.
+    ExperimentConfig cfg;
+    cfg.distance = 5;
+    cfg.physicalErrorRate = 4e-3;
+    ExperimentContext ctx(cfg);
+    TracingOn tracing(1, 4096);
+    runMemoryExperiment(ctx, astreaFactory(), 3000, 17, 1);
+    const std::vector<StoredTrace> kept = TraceStore::global().snapshot();
+    ASSERT_EQ(kept.size(), 3000u) << "the ring must hold every trace";
+
+    uint64_t epoch_ns = UINT64_MAX;
+    for (const StoredTrace &t : kept)
+        epoch_ns = std::min(epoch_ns, t.batchStartNs);
+    std::map<std::string, const StoredTrace *> stageless;
+    for (const StoredTrace &t : kept) {
+        bool staged = false;
+        for (uint32_t i = 0; i < t.numSpans; i++)
+            staged = staged || t.spans[i].shot >= 0;
+        if (!staged)
+            stageless[traceIdHex(t.traceId)] = &t;
+    }
+
+    std::set<std::string> named;
+    size_t give_ups = 0, empty = 0;
+    for (const JsonValue &e :
+         exportEvents(TraceStore::global(), "chrome_stageless.json")) {
+        if (e["name"].asString() != "decode")
+            continue;
+        const std::string id = e["args"]["trace_id"].asString();
+        ASSERT_EQ(stageless.count(id), 1u) << id;
+        const StoredTrace &t = *stageless[id];
+        EXPECT_TRUE(named.insert(id).second) << id;
+        EXPECT_EQ(e["dur"].asNumber(-1.0), 0.0);
+        EXPECT_NEAR(e["ts"].asNumber(-1.0),
+                    static_cast<double>(t.batchStartNs - epoch_ns) / 1e3,
+                    1e-6);
+        EXPECT_EQ(e["tid"].asUint(), t.stream);
+        EXPECT_EQ(e["args"]["shot"].asUint(), t.shot);
+        EXPECT_EQ(e["args"]["hw"].asUint(), t.hw);
+        EXPECT_EQ(e["args"]["outcome"].asString(), traceOutcomeName(t));
+        give_ups += t.gaveUp ? 1 : 0;
+        empty += t.hw == 0 ? 1 : 0;
+    }
+    EXPECT_EQ(named.size(), stageless.size());
+    EXPECT_GT(give_ups, 0u);
+    EXPECT_GT(empty, 0u);
 }
 
 TEST(ChromeTraceTest, ReplayedCaptureExportsEachRecordsStages)

@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for the common utilities: RNG, bit vectors, statistics,
- * weight quantization, option parsing, and the fork-join helper.
+ * weight quantization, option parsing, and the parallel loop.
  */
 
 #include <gtest/gtest.h>
@@ -9,6 +9,8 @@
 #include <atomic>
 #include <cmath>
 #include <set>
+#include <thread>
+#include <vector>
 
 #include "common/bitvec.hh"
 #include "common/cli.hh"
@@ -393,33 +395,57 @@ TEST(Options, ArgvWinsOverEnvironment)
     unsetenv("ASTREA_SHOTS");
 }
 
-// -------------------------------------------------------- parallelFor
+// ------------------------------------------- the parallel loop (runBlocks)
+
+/** Run the loop with workers that claim blocks until none are left;
+ *  returns how many times each block ran. */
+std::vector<int>
+claimAll(uint64_t blocks, unsigned threads)
+{
+    std::vector<std::atomic<int>> ran(blocks);
+    runBlocks(blocks, threads,
+              [&](unsigned, std::atomic<uint64_t> &next) {
+                  for (uint64_t b; (b = next.fetch_add(1)) < blocks;)
+                      ran[b]++;
+              });
+    return {ran.begin(), ran.end()};
+}
 
 TEST(ParallelFor, CoversRangeExactlyOnce)
 {
-    std::vector<std::atomic<int>> touched(1000);
-    parallelFor(1000, 8, [&](unsigned, uint64_t begin, uint64_t end) {
-        for (uint64_t i = begin; i < end; i++)
-            touched[i]++;
-    });
-    for (auto &t : touched)
-        EXPECT_EQ(t.load(), 1);
+    for (unsigned threads : {1u, 2u, 8u})
+        EXPECT_EQ(claimAll(1000, threads), std::vector<int>(1000, 1))
+            << threads << " threads";
 }
 
 TEST(ParallelFor, SingleWorkerRunsInline)
 {
-    uint64_t total = 0;
-    parallelFor(100, 1, [&](unsigned w, uint64_t begin, uint64_t end) {
-        EXPECT_EQ(w, 0u);
-        total += end - begin;
-    });
-    EXPECT_EQ(total, 100u);
+    // Worker 0 is the caller and the helpers are not, whatever the
+    // worker count; with one worker, every block runs on the caller.
+    const std::thread::id caller = std::this_thread::get_id();
+    for (unsigned threads : {1u, 4u}) {
+        std::atomic<bool> worker0_ran{false};
+        std::atomic<uint64_t> on_caller{0};
+        runBlocks(100, threads,
+                  [&](unsigned w, std::atomic<uint64_t> &next) {
+                      const bool here = std::this_thread::get_id() == caller;
+                      EXPECT_EQ(here, w == 0);
+                      if (w == 0)
+                          worker0_ran = true;
+                      for (uint64_t b; (b = next.fetch_add(1)) < 100;)
+                          on_caller += here ? 1 : 0;
+                  });
+        EXPECT_TRUE(worker0_ran);
+        if (threads == 1) {
+            EXPECT_EQ(on_caller.load(), 100u);
+        }
+    }
 }
 
 TEST(ParallelFor, EmptyRange)
 {
     bool called = false;
-    parallelFor(0, 4, [&](unsigned, uint64_t, uint64_t) {
+    runBlocks(0, 4, [&](unsigned, std::atomic<uint64_t> &) {
         called = true;
     });
     EXPECT_FALSE(called);
@@ -427,115 +453,17 @@ TEST(ParallelFor, EmptyRange)
 
 TEST(ParallelFor, MoreWorkersThanWork)
 {
-    std::atomic<uint64_t> total{0};
-    parallelFor(3, 16, [&](unsigned, uint64_t begin, uint64_t end) {
-        total += end - begin;
+    // At most one worker per block.
+    std::atomic<unsigned> workers{0};
+    std::atomic<uint64_t> claimed{0};
+    runBlocks(3, 16, [&](unsigned w, std::atomic<uint64_t> &next) {
+        EXPECT_LT(w, 3u);
+        workers++;
+        for (uint64_t b; (b = next.fetch_add(1)) < 3;)
+            claimed++;
     });
-    EXPECT_EQ(total.load(), 3u);
-}
-
-// --------------------------------------------------------- ThreadPool
-
-TEST(ThreadPoolTest, RunsEveryAcceptedTask)
-{
-    std::atomic<uint64_t> ran{0};
-    {
-        ThreadPool pool(4);
-        for (int i = 0; i < 1000; i++)
-            ASSERT_TRUE(pool.enqueue([&] { ran++; }));
-    }
-    // Destructor = shutdown: every accepted task has finished.
-    EXPECT_EQ(ran.load(), 1000u);
-}
-
-TEST(ThreadPoolTest, ShutdownDrainsQueuedTasks)
-{
-    std::atomic<uint64_t> ran{0};
-    ThreadPool pool(2);
-    for (int i = 0; i < 500; i++)
-        ASSERT_TRUE(pool.enqueue([&] { ran++; }));
-    pool.shutdown();
-    EXPECT_EQ(ran.load(), 500u);
-    EXPECT_EQ(pool.completedTasks(), 500u);
-}
-
-TEST(ThreadPoolTest, EnqueueAfterShutdownIsRejected)
-{
-    ThreadPool pool(2);
-    pool.shutdown();
-    bool ran = false;
-    EXPECT_FALSE(pool.enqueue([&] { ran = true; }));
-    EXPECT_FALSE(ran);
-}
-
-TEST(ThreadPoolTest, ShutdownIsIdempotent)
-{
-    ThreadPool pool(2);
-    ASSERT_TRUE(pool.enqueue([] {}));
-    pool.shutdown();
-    pool.shutdown();  // Second call must be a no-op, not a crash.
-    EXPECT_FALSE(pool.enqueue([] {}));
-}
-
-TEST(ThreadPoolTest, RacingEnqueueAndDestructionLosesNoTask)
-{
-    // The shutdown-ordering contract under race: producers hammer
-    // enqueue() while the pool is destroyed. Every enqueue() must
-    // return a definite verdict — true => the task runs before the
-    // destructor returns, false => it never runs — with no hangs and
-    // no lost tasks. Repeat to give the race a chance to land on the
-    // boundary.
-    for (int round = 0; round < 20; round++) {
-        std::atomic<uint64_t> accepted{0};
-        std::atomic<uint64_t> ran{0};
-        std::atomic<bool> stop{false};
-
-        ThreadPool pool(3);
-        std::vector<std::thread> producers;
-        for (int p = 0; p < 4; p++) {
-            producers.emplace_back([&] {
-                while (!stop.load(std::memory_order_relaxed)) {
-                    if (pool.enqueue([&] { ran++; }))
-                        accepted++;
-                }
-            });
-        }
-
-        // Let producers build up momentum, then shut down mid-flight
-        // while they keep hammering enqueue().
-        while (accepted.load() < 100) {
-        }
-        pool.shutdown();
-        stop.store(true);
-        for (auto &t : producers)
-            t.join();
-
-        EXPECT_EQ(ran.load(), accepted.load())
-            << "round " << round
-            << ": an accepted task was lost (or an unaccepted one "
-               "ran) across shutdown";
-    }
-}
-
-TEST(ThreadPoolTest, TasksEnqueuedFromTasksEitherRunOrAreRejected)
-{
-    // A task enqueuing follow-up work during drain must also get a
-    // deterministic verdict; accepted follow-ups run too.
-    std::atomic<uint64_t> accepted{0};
-    std::atomic<uint64_t> ran{0};
-    {
-        ThreadPool pool(2);
-        for (int i = 0; i < 100; i++) {
-            bool ok = pool.enqueue([&, i] {
-                ran++;
-                if (pool.enqueue([&] { ran++; }))
-                    accepted++;
-            });
-            ASSERT_TRUE(ok);
-            accepted++;
-        }
-    }
-    EXPECT_EQ(ran.load(), accepted.load());
+    EXPECT_EQ(workers.load(), 3u);
+    EXPECT_EQ(claimed.load(), 3u);
 }
 
 } // namespace

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdlib>
 
 #include "harness/memory_experiment.hh"
@@ -20,7 +21,7 @@ namespace
 TEST(Robustness, GwtConstructionIsThreadCountInvariant)
 {
     // Rows are computed independently; the table must not depend on
-    // how parallelFor shards them.
+    // which worker of the parallel loop claims which row.
     ExperimentConfig cfg;
     cfg.distance = 3;
     cfg.physicalErrorRate = 1e-3;
@@ -38,6 +39,9 @@ TEST(Robustness, GwtConstructionIsThreadCountInvariant)
                       parallel.gwt().pairWeight(i, j));
             EXPECT_EQ(serial.gwt().pairObs(i, j),
                       parallel.gwt().pairObs(i, j));
+            EXPECT_EQ(std::bit_cast<uint64_t>(serial.gwt().exactWeight(i, j)),
+                      std::bit_cast<uint64_t>(
+                          parallel.gwt().exactWeight(i, j)));
         }
     }
 }

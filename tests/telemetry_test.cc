@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cctype>
 #include <cmath>
 #include <cstdio>
@@ -30,6 +32,22 @@ using namespace astrea::telemetry;
 
 namespace
 {
+
+/** body(i) for every i in [0, total), concurrently on `workers` workers
+ *  of the parallel loop, which claim 100 items at a time. */
+template <typename Body>
+void
+concurrently(uint64_t total, unsigned workers, Body body)
+{
+    constexpr uint64_t kChunk = 100;
+    const uint64_t chunks = (total + kChunk - 1) / kChunk;
+    runBlocks(chunks, workers, [&](unsigned, std::atomic<uint64_t> &next) {
+        for (uint64_t c; (c = next.fetch_add(1)) < chunks;)
+            for (uint64_t i = c * kChunk; i < std::min(total, (c + 1) * kChunk);
+                 i++)
+                body(i);
+    });
+}
 
 /**
  * Minimal recursive-descent JSON parser for round-trip checks. Parses
@@ -289,11 +307,7 @@ TEST(MetricsTest, CounterConcurrentMergeIsLossless)
     Counter c;
     constexpr uint64_t kTotal = 200000;
     constexpr unsigned kWorkers = 8;
-    parallelFor(kTotal, kWorkers,
-                [&](unsigned, uint64_t begin, uint64_t end) {
-                    for (uint64_t i = begin; i < end; i++)
-                        c.inc();
-                });
+    concurrently(kTotal, kWorkers, [&](uint64_t) { c.inc(); });
     EXPECT_EQ(c.value(), kTotal);
 
     c.reset();
@@ -304,10 +318,8 @@ TEST(MetricsTest, IntHistogramConcurrentMergeIsLossless)
 {
     IntHistogram h(16);
     constexpr uint64_t kTotal = 100000;
-    parallelFor(kTotal, 8, [&](unsigned, uint64_t begin, uint64_t end) {
-        for (uint64_t i = begin; i < end; i++)
-            h.add(i % 20);  // Keys 17..19 land in overflow.
-    });
+    // Keys 17..19 land in overflow.
+    concurrently(kTotal, 8, [&](uint64_t i) { h.add(i % 20); });
     IntHistogramSnapshot snap = h.snapshot();
     EXPECT_EQ(snap.total, kTotal);
     uint64_t in_bins = 0;
@@ -337,10 +349,8 @@ TEST(MetricsTest, LatencyMetricPercentilesAndExtremes)
     // 1..1000 ns uniformly: log2 buckets are coarse, but the clamp to
     // observed extremes and interpolation must keep percentiles within
     // a factor of 2 and the min/max/mean exact.
-    parallelFor(1000, 4, [&](unsigned, uint64_t begin, uint64_t end) {
-        for (uint64_t i = begin; i < end; i++)
-            m.record(static_cast<double>(i + 1));
-    });
+    concurrently(1000, 4,
+                 [&](uint64_t i) { m.record(static_cast<double>(i + 1)); });
     LatencySnapshot s = m.snapshot();
     EXPECT_EQ(s.count, 1000u);
     EXPECT_DOUBLE_EQ(s.minNs, 1.0);
