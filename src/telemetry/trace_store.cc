@@ -8,7 +8,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <new>
 #include <type_traits>
+
+#include <sys/mman.h>
 
 #include "common/env.hh"
 #include "common/logging.hh"
@@ -33,10 +36,21 @@ static_assert(offsetof(StoredTrace, traceId) % sizeof(uint64_t) == 0);
 constexpr size_t kTraceIdWord =
     offsetof(StoredTrace, traceId) / sizeof(uint64_t);
 
-uint64_t
-loadWord(uint64_t &w)
+/** Atomic load of a plain slot field. */
+template <class T>
+T
+atomicLoad(T &field, std::memory_order order = std::memory_order_relaxed)
 {
-    return std::atomic_ref<uint64_t>(w).load(std::memory_order_relaxed);
+    return std::atomic_ref<T>(field).load(order);
+}
+
+/** Atomic store to a plain slot field. */
+template <class T>
+void
+atomicStore(T &field, T value,
+            std::memory_order order = std::memory_order_relaxed)
+{
+    std::atomic_ref<T>(field).store(value, order);
 }
 
 /** Copy t into slot words with relaxed atomic stores. */
@@ -47,8 +61,7 @@ storeWords(uint64_t *words, const StoredTrace &t)
     for (size_t k = 0; k < kTraceWords; k++) {
         uint64_t w;
         std::memcpy(&w, src + k * sizeof(uint64_t), sizeof(w));
-        std::atomic_ref<uint64_t>(words[k]).store(
-            w, std::memory_order_relaxed);
+        atomicStore(words[k], w);
     }
 }
 
@@ -59,7 +72,7 @@ loadWords(uint64_t *words, StoredTrace *out)
 {
     char *dst = reinterpret_cast<char *>(out);
     for (size_t k = 0; k < kTraceWords; k++) {
-        const uint64_t w = loadWord(words[k]);
+        const uint64_t w = atomicLoad(words[k]);
         std::memcpy(dst + k * sizeof(uint64_t), &w, sizeof(w));
     }
 }
@@ -71,23 +84,31 @@ loadWords(uint64_t *words, StoredTrace *out)
  * (odd = write in progress, even = stable; 0 = never written) and
  * copied as relaxed atomic words, so a reader racing a writer sees
  * stale or mixed words — which the sequence re-check rejects — but
- * never a data race. The payload starts uninitialized: nothing reads a
- * slot's words before its sequence is nonzero and even. The audit
- * annotation is an atomic side channel keyed by annId so the
- * background auditor never has to take part in the seqlock protocol.
+ * never a data race. Nothing reads a slot's words before its sequence
+ * is nonzero and even. The audit annotation is an atomic side channel
+ * keyed by annId (0 = none) so the background auditor never has to
+ * take part in the seqlock protocol.
+ *
+ * An empty slot is all-zero bytes. Every field is a plain value that
+ * is only read and written through std::atomic_ref, and Slot is
+ * trivially default-constructible, so starting a slot's lifetime
+ * writes nothing: a table over fresh zero pages is a table of empty
+ * slots that stays unbacked until keep() writes into it.
  */
 struct TraceStore::Slot
 {
-    std::atomic<uint64_t> seq{0};
+    uint64_t seq;
     uint64_t words[kTraceWords];
 
-    std::atomic<uint64_t> annId{0};
+    uint64_t annId;
     /** bit 0 done, 1 mismatch, 2 DP oracle, 3 quantized weights. */
-    std::atomic<uint32_t> annFlags{0};
-    std::atomic<double> annGap{0.0};
-    std::atomic<double> annOracleWeight{0.0};
-    std::atomic<uint64_t> annOracleObs{0};
+    uint32_t annFlags;
+    double annGap;
+    double annOracleWeight;
+    uint64_t annOracleObs;
 };
+
+const size_t TraceStore::kSlotBytes = sizeof(TraceStore::Slot);
 
 const char *
 traceOutcomeName(const StoredTrace &t)
@@ -126,14 +147,47 @@ TraceStore::TraceStore(size_t capacity)
     configure(capacity);
 }
 
-TraceStore::~TraceStore() = default;
+TraceStore::~TraceStore()
+{
+    releaseSlots();
+}
+
+void
+TraceStore::releaseSlots()
+{
+    if (slots_ != nullptr)
+        munmap(slots_, capacity_ * sizeof(Slot));
+    slots_ = nullptr;
+    capacity_ = 0;
+}
 
 void
 TraceStore::configure(size_t capacity)
 {
-    capacity_ = std::max<size_t>(1, capacity);
-    // Default-initialized: the payload words are not zero-filled.
-    slots_ = std::make_unique_for_overwrite<Slot[]>(capacity_);
+    static_assert(std::is_trivially_default_constructible_v<Slot> &&
+                      std::is_trivially_destructible_v<Slot>,
+                  "a slot's lifetime must begin and end without a write");
+
+    // Give the old table back first, so a store never holds two. Fresh
+    // anonymous pages read as zeros, which is Slot's empty state, and
+    // stay unbacked until written. No huge pages: a keep faults in only
+    // the pages of the slot it claims.
+    releaseSlots();
+    const size_t n = std::max<size_t>(1, capacity);
+    // The capacity comes from a flag or the environment: a size that
+    // overflows must fail like one the kernel refuses.
+    if (n > SIZE_MAX / sizeof(Slot))
+        throw std::bad_alloc();
+    void *mem = mmap(nullptr, n * sizeof(Slot), PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (mem == MAP_FAILED)
+        throw std::bad_alloc();
+    madvise(mem, n * sizeof(Slot), MADV_NOHUGEPAGE);
+    // Default-initialization of a trivially default-constructible
+    // type: the slots' lifetime begins with no write to the pages.
+    slots_ = ::new (mem) Slot[n];
+    capacity_ = n;
+
     head_.store(0, relaxed_);
     considered_.store(0, relaxed_);
     kept_.store(0, relaxed_);
@@ -167,11 +221,11 @@ TraceStore::keep(const StoredTrace &t)
     // writer won it; this trace is dropped rather than interleaved.
     // The acquire orders this payload's stores after the previous
     // writer's, and the release fence orders them after the claim.
-    uint64_t cur = s.seq.load(relaxed_);
+    const std::atomic_ref<uint64_t> seq(s.seq);
+    uint64_t cur = seq.load(relaxed_);
     if ((cur & 1) != 0 || cur > 2 * pos ||
-        !s.seq.compare_exchange_strong(cur, 2 * pos + 1,
-                                       std::memory_order_acquire,
-                                       relaxed_))
+        !seq.compare_exchange_strong(cur, 2 * pos + 1,
+                                     std::memory_order_acquire, relaxed_))
     {
         dropped_.fetch_add(1, relaxed_);
         return;
@@ -180,9 +234,9 @@ TraceStore::keep(const StoredTrace &t)
     kept_.fetch_add(1, relaxed_);
     if (pos >= capacity_)
         evicted_.fetch_add(1, relaxed_);
-    s.annId.store(0, relaxed_);
+    atomicStore(s.annId, uint64_t{0});
     storeWords(s.words, t);
-    s.seq.store(2 * pos + 2, std::memory_order_release);
+    seq.store(2 * pos + 2, std::memory_order_release);
 
     // Exemplar update: pin this trace if it is the new worst of its
     // latency bucket (ties keep the incumbent, so the table is stable
@@ -201,28 +255,28 @@ bool
 TraceStore::readSlot(size_t idx, StoredTrace *out) const
 {
     Slot &s = slots_[idx];
+    const std::atomic_ref<uint64_t> seq(s.seq);
     for (int attempt = 0; attempt < 4; attempt++) {
-        const uint64_t before =
-            s.seq.load(std::memory_order_acquire);
+        const uint64_t before = seq.load(std::memory_order_acquire);
         if (before == 0 || (before & 1))
             return false;  // Never written, or write in progress.
         loadWords(s.words, out);
         std::atomic_thread_fence(std::memory_order_acquire);
-        if (s.seq.load(relaxed_) == before) {
+        if (seq.load(relaxed_) == before) {
             // Merge the audit side channel if it belongs to this
             // payload generation.
-            if (s.annId.load(std::memory_order_acquire) ==
+            if (atomicLoad(s.annId, std::memory_order_acquire) ==
                     out->traceId &&
                 out->traceId != 0)
             {
-                const uint32_t flags = s.annFlags.load(relaxed_);
+                const uint32_t flags = atomicLoad(s.annFlags);
                 out->auditDone = (flags & 1u) != 0;
                 out->audit.mismatch = (flags & 2u) != 0;
                 out->audit.oracleDp = (flags & 4u) != 0;
                 out->audit.quantized = (flags & 8u) != 0;
-                out->audit.gapDecades = s.annGap.load(relaxed_);
-                out->audit.oracleWeight = s.annOracleWeight.load(relaxed_);
-                out->audit.oracleObs = s.annOracleObs.load(relaxed_);
+                out->audit.gapDecades = atomicLoad(s.annGap);
+                out->audit.oracleWeight = atomicLoad(s.annOracleWeight);
+                out->audit.oracleObs = atomicLoad(s.annOracleObs);
             }
             return true;
         }
@@ -242,21 +296,20 @@ TraceStore::annotateAudit(uint64_t trace_id, const TraceAuditVerdict &v)
     for (size_t i = 0; i < n; i++) {
         Slot &s = slots_[i];
         const uint64_t before =
-            s.seq.load(std::memory_order_acquire);
+            atomicLoad(s.seq, std::memory_order_acquire);
         if (before == 0 || (before & 1))
             continue;
         // An unchecked id peek is fine: a stale match is filtered by
         // readers re-checking annId against the payload they copied.
-        if (loadWord(s.words[kTraceIdWord]) != trace_id)
+        if (atomicLoad(s.words[kTraceIdWord]) != trace_id)
             continue;
-        s.annFlags.store(1u | (v.mismatch ? 2u : 0u) |
-                             (v.oracleDp ? 4u : 0u) |
-                             (v.quantized ? 8u : 0u),
-                         relaxed_);
-        s.annGap.store(v.gapDecades, relaxed_);
-        s.annOracleWeight.store(v.oracleWeight, relaxed_);
-        s.annOracleObs.store(v.oracleObs, relaxed_);
-        s.annId.store(trace_id, std::memory_order_release);
+        atomicStore(s.annFlags, 1u | (v.mismatch ? 2u : 0u) |
+                                    (v.oracleDp ? 4u : 0u) |
+                                    (v.quantized ? 8u : 0u));
+        atomicStore(s.annGap, v.gapDecades);
+        atomicStore(s.annOracleWeight, v.oracleWeight);
+        atomicStore(s.annOracleObs, v.oracleObs);
+        atomicStore(s.annId, trace_id, std::memory_order_release);
         annotated = true;
     }
 

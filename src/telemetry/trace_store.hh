@@ -13,9 +13,9 @@
  *    release store of the next even value; the payload moves in and
  *    out as relaxed atomic words, and readers re-check the sequence,
  *    retrying torn reads. Nothing blocks and nothing allocates on the
- *    keep path — the slot array is allocated once at configure(),
- *    its payloads not zero-filled, since no reader opens a slot
- *    before its first write;
+ *    keep path. configure() takes the slot table as fresh anonymous
+ *    zero pages, and an all-zero slot is an empty one, so a slot
+ *    costs resident memory only once a trace is written into it;
  *  - a per-latency-bucket exemplar table (the log2 buckets of
  *    telemetry/metrics.hh, the same geometry the /metrics latency
  *    histogram exposes). Each bucket pins a full copy of its
@@ -52,7 +52,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <span>
@@ -194,11 +193,16 @@ class TraceStore
     TraceStore &operator=(const TraceStore &) = delete;
 
     /**
-     * (Re)size the ring and clear everything, counters included. Not
-     * safe against concurrent keep() — call at service startup or from
-     * tests, before decode workers run.
+     * (Re)size the ring and clear everything, counters included. The
+     * old table is unmapped before the new one is mapped, so a store
+     * never holds two. Not safe against concurrent keep() — call at
+     * service startup or from tests, before decode workers run.
      */
     void configure(size_t capacity);
+
+    /** Address space one ring slot reserves: the table is capacity
+     *  slots of this size, resident only where a trace was kept. */
+    static const size_t kSlotBytes;
 
     /**
      * Start a new run: install its context / decoder descriptions
@@ -331,6 +335,8 @@ class TraceStore
   private:
     struct Slot;
 
+    /** Unmap the slot table, if there is one. */
+    void releaseSlots();
     bool readSlot(size_t idx, StoredTrace *out) const;
     void appendSummaryJson(JsonWriter &w, const StoredTrace &t) const;
     /** Detail keys of t into an open object; defects in full. */
@@ -342,7 +348,7 @@ class TraceStore
     static constexpr std::memory_order relaxed_ =
         std::memory_order_relaxed;
 
-    std::unique_ptr<Slot[]> slots_;
+    Slot *slots_ = nullptr;  ///< capacity_ slots over one mapping.
     size_t capacity_ = 0;
     alignas(64) std::atomic<uint64_t> head_{0};
 

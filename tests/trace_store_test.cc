@@ -11,11 +11,17 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
+#include <fstream>
 #include <limits>
+#include <memory>
+#include <new>
 #include <string>
 #include <thread>
 #include <vector>
+
+#include <unistd.h>
 
 #include "harness/latency_stats.hh"
 #include "telemetry/decode_trace.hh"
@@ -408,6 +414,129 @@ TEST(TraceStoreTest, LappingWritersNeverPublishTornCopies)
     const TraceStore::Counters c = store.counters();
     EXPECT_EQ(c.kept + c.dropped, kWriters * kPerWriter);
     EXPECT_EQ(c.occupancy, 4u);
+}
+
+/** This process's resident set in pages (/proc/self/statm field 2);
+ *  -1 when it cannot be read. */
+long
+residentPages()
+{
+    std::ifstream statm("/proc/self/statm");
+    long size = 0;
+    long resident = -1;
+    statm >> size >> resident;
+    return statm ? resident : -1;
+}
+
+TEST(TraceStoreTest, SlotPagesAreResidentOnlyOnceKept)
+{
+    // The slot table is address space until a trace is written into a
+    // slot: taking a 16,384-slot table (about 13 MiB) makes almost
+    // nothing resident, keeping 64 traces makes only their slots'
+    // pages resident, and a reconfigure gives those pages back. Only
+    // deltas are asserted, against sizes derived from the table, so
+    // the bounds hold whatever else the process has mapped.
+    if (residentPages() < 0)
+        GTEST_SKIP() << "/proc/self/statm is not readable";
+    constexpr size_t kCapacity = 16384;
+    constexpr size_t kKept = 64;
+    const long page = sysconf(_SC_PAGESIZE);
+    const long table =
+        static_cast<long>(kCapacity * TraceStore::kSlotBytes) / page;
+    // The kept slots are contiguous from the table's start: they cover
+    // `whole` pages entirely and reach into at most two more.
+    const long whole =
+        static_cast<long>(kKept * TraceStore::kSlotBytes) / page;
+    // Room for the test's own churn and a sanitizer's shadow of the
+    // written slots: far below a huge page or a quarter of the table.
+    const long slack = (1L << 20) / page;
+    ASSERT_GT(table / 4, whole + 2 + slack);
+
+    // On the heap, with the exemplar table resident before any delta.
+    auto store = std::make_unique<TraceStore>(1);
+    const long before = residentPages();
+    store->configure(kCapacity);
+    const long configured = residentPages();
+    EXPECT_LT(configured - before, table / 4);
+
+    for (uint64_t id = 1; id <= kKept; id++)
+        store->keep(makeTrace(id, 100.0));
+    ASSERT_EQ(store->counters().kept, kKept);
+    const long kept = residentPages();
+    EXPECT_GE(kept - configured, whole);  // The probe sees them at all.
+    EXPECT_LE(kept - configured, whole + 2 + slack);
+
+    // The written pages go back with the old table (net of what a
+    // sanitizer maps for the new one).
+    store->configure(kCapacity);
+    const long reconfigured = residentPages();
+    EXPECT_LE(reconfigured - configured, slack);
+    EXPECT_GE(kept - reconfigured, whole / 2);
+}
+
+TEST(TraceStoreTest, ReconfigureGivesAnEmptyWritableStore)
+{
+    // A reconfigured store sees none of the old traces, counts from 0
+    // and keeps the next trace. A reused table would fail the last
+    // part: a slot whose old sequence exceeds 2 x the new position
+    // drops every keep into it.
+    TraceStore store(8);
+    uint64_t id = 1;
+    auto fill = [&](size_t n) {
+        for (size_t k = 0; k < n; k++, id++) {
+            store.noteConsidered();
+            store.keep(makeTrace(id, 100.0 * static_cast<double>(id)));
+        }
+        store.noteSpansDropped(3);
+    };
+    fill(20);
+    ASSERT_TRUE(store.find(id - 1, nullptr));
+
+    for (size_t capacity : {8, 64, 4}) {
+        SCOPED_TRACE(capacity);
+        const uint64_t old_ids = id;
+        store.configure(capacity);
+        for (uint64_t old = 1; old < old_ids; old++)
+            EXPECT_FALSE(store.find(old, nullptr)) << old;
+        EXPECT_TRUE(store.snapshot().empty());
+        JsonValue doc;
+        ASSERT_TRUE(parseJson(store.indexJson(TraceQuery{}), doc));
+        EXPECT_TRUE(doc["traces"].arr.empty());
+        EXPECT_EQ(doc["kept"].asUint(~0ull), 0u);
+        TraceStore::Counters c = store.counters();
+        EXPECT_EQ(c.considered, 0u);
+        EXPECT_EQ(c.kept, 0u);
+        EXPECT_EQ(c.dropped, 0u);
+        EXPECT_EQ(c.evicted, 0u);
+        EXPECT_EQ(c.spansDropped, 0u);
+        EXPECT_EQ(c.occupancy, 0u);
+        EXPECT_EQ(c.capacity, capacity);
+
+        store.keep(makeTrace(id, 100.0));
+        c = store.counters();
+        EXPECT_EQ(c.kept, 1u);
+        EXPECT_EQ(c.dropped, 0u);
+        StoredTrace out;
+        ASSERT_TRUE(store.find(id, &out));
+        EXPECT_EQ(out.traceId, id);
+        id++;
+        // Lap the new table twice before the next reconfigure.
+        fill(2 * capacity);
+    }
+}
+
+TEST(TraceStoreTest, OverflowingCapacityThrows)
+{
+    // --trace-ring / ASTREA_TRACE_RING can ask for more slots than a
+    // size_t of bytes holds. Two slots past the limit, the byte size
+    // wraps to under two slots; configure must still throw, and the
+    // store must configure again afterwards.
+    TraceStore store(4);
+    EXPECT_THROW(store.configure(SIZE_MAX / TraceStore::kSlotBytes + 2),
+                 std::bad_alloc);
+    store.configure(4);
+    store.keep(makeTrace(1, 100.0));
+    EXPECT_TRUE(store.find(1, nullptr));
 }
 
 /** Tracer fixture: isolates the process-wide retention config. */
