@@ -387,7 +387,7 @@ AstreaDecoder::decodeBucket(const SyndromeBatch &batch,
         {
             telemetry::PerfSection sec(telemetry::PerfStage::Gather,
                                        lanes, psample, false);
-            s.block.beginBucket(static_cast<int>(w), kernel_);
+            s.block.beginBucket(static_cast<int>(w));
             for (uint32_t l = 0; l < lanes; l++) {
                 const std::span<const uint32_t> next =
                     (l + 1 < lanes) ? batch.at(shots[g + l + 1])
@@ -414,14 +414,9 @@ AstreaDecoder::decodeBucket(const SyndromeBatch &batch,
             uint64_t t0 = 0;
             if (tracing)
                 t0 = telemetry::traceClockNs();
-            if (s.block.transposed())
-                matchTileLanesT(table, s.block.weightsData(), lanes,
-                                LwtTileBlock::kEntryStride,
-                                s.laneMatch, kernel_);
-            else
-                matchTileLanes(table, s.block.weightsData(), lanes,
-                               s.block.laneStride(), s.laneMatch,
-                               kernel_);
+            matchTileLanesT(table, s.block.weightsData(), lanes,
+                            LwtTileBlock::kEntryStride, s.laneMatch,
+                            kernel_);
             if (tracing) {
                 const uint64_t t1 = telemetry::traceClockNs();
                 for (uint32_t l = 0; l < lanes; l++) {

@@ -77,10 +77,10 @@ namespace detail
  *
  * wstride spreads WEIGHT entries: tile entry e lands at
  * weights[e * wstride] (obs stays dense at obs[e]). LwtTile passes 1;
- * LwtTileBlock passes kMaxLanes for its transposed small-bucket
- * layout, where entry e of lane l lives at block_base[e * kMaxLanes
- * + l] so the lane-major kernel reads consecutive lanes with plain
- * vector loads (simd_kernel.hh matchTileLanesT).
+ * LwtTileBlock passes kMaxLanes for its entry-major layout, where
+ * entry e of lane l lives at block_base[e * kMaxLanes + l] so the
+ * lane-major kernel reads consecutive lanes with plain vector loads
+ * (simd_kernel.hh matchTileLanesT).
  */
 template <bool UpperOnly>
 inline void
@@ -246,22 +246,15 @@ class LwtTile
  * Structure-of-arrays bucket of same-HW weight tiles.
  *
  * A bucket holds up to kMaxLanes shots that share one Hamming weight,
- * hence one tile geometry (nodes, virtual column). Weight storage has
- * two layouts, chosen per bucket:
+ * hence one tile geometry (nodes, virtual column). Weights are stored
+ * entry-major — tile entry e of lane l lives at
+ * weights_[e * kMaxLanes + l] — so the lane-major kernel
+ * (matchTileLanesT) reads 8 / 16 consecutive lanes of one entry with
+ * a single vector load, no gathers, and the scalar tier walks the
+ * same layout lane by lane.
  *
- *  - transposed (m <= laneMajorMaxNodes(kind) for the matching
- *    kernel — every exhaustive size on the vector tiers): entry-major
- *    — tile entry e of lane l lives at weights_[e * kMaxLanes + l],
- *    so the lane-major kernel (matchTileLanesT) reads 8 / 16
- *    consecutive lanes of one entry with a single vector load, no
- *    gathers;
- *  - lane-contiguous (larger m on the scalar tier): lane l's m x m
- *    weights start at l * m * m, and matching falls back to the
- *    row-major kernel per lane (matchTileLanes), whose contiguous
- *    reads the scalar loop prefers for big tables.
- *
- * Observable masks are always lane-contiguous — the verdict loop
- * reads only the winning row's few pairs per lane.
+ * Observable masks are lane-contiguous — the verdict loop reads only
+ * the winning row's few pairs per lane.
  */
 class LwtTileBlock
 {
@@ -284,22 +277,19 @@ class LwtTileBlock
     /**
      * Start a bucket of `hw`-defect shots: fixes the tile geometry
      * and resets the lane count. Lane storage is resized (up only —
-     * capacity persists) to kMaxLanes tiles. `kind` is the kernel
-     * that will match the bucket — it selects the weight layout
-     * (laneMajorMaxNodes()), never the results.
+     * capacity persists) to kMaxLanes tiles.
      */
     void
-    beginBucket(int hw, KernelKind kind = KernelKind::kScalar)
+    beginBucket(int hw)
     {
         ASTREA_CHECK(hw > 0 && hw <= kMaxNodes,
                      "tile bucket HW out of range");
         m_ = (hw % 2 == 0) ? hw : hw + 1;
         virt_ = (hw % 2 == 0) ? -1 : hw;
-        laneStride_ = static_cast<size_t>(m_) * m_;
-        transposed_ = m_ <= laneMajorMaxNodes(kind);
+        tileEntries_ = static_cast<size_t>(m_) * m_;
         lanes_ = 0;
-        weights_.resize(static_cast<size_t>(kMaxLanes) * laneStride_);
-        obs_.resize(static_cast<size_t>(kMaxLanes) * laneStride_);
+        weights_.resize(static_cast<size_t>(kMaxLanes) * tileEntries_);
+        obs_.resize(static_cast<size_t>(kMaxLanes) * tileEntries_);
     }
 
     /**
@@ -315,14 +305,10 @@ class LwtTileBlock
     {
         ASTREA_CHECK(lanes_ < kMaxLanes, "tile bucket overflow");
         const int lane = lanes_++;
-        int32_t *lane_weights =
-            transposed_ ? weights_.data() + lane
-                        : weights_.data() + lane * laneStride_;
-        const size_t wstride =
-            transposed_ ? static_cast<size_t>(kMaxLanes) : 1;
         detail::gatherTile<true>(gwt, defects, effective_weights, m_,
-                                 virt_, lane_weights, wstride,
-                                 obs_.data() + lane * laneStride_,
+                                 virt_, weights_.data() + lane,
+                                 kEntryStride,
+                                 obs_.data() + lane * tileEntries_,
                                  boundaryWeights_, boundaryObs_,
                                  next);
         return lane;
@@ -337,35 +323,17 @@ class LwtTileBlock
     /** Virtual boundary node index, or -1 for even HW buckets. */
     int virtualNode() const { return virt_; }
 
-    /**
-     * Lane `lane`'s raw tile (m x m row-major int32). Only valid for
-     * lane-contiguous buckets (!transposed()).
-     */
-    const int32_t *
-    laneWeights(int lane) const
-    {
-        ASTREA_CHECK(!transposed_,
-                     "lane tiles are entry-major in this bucket");
-        return weights_.data() + lane * laneStride_;
-    }
-
     /** Base of the SoA tile storage (lane 0's first entry). */
     const int32_t *weightsData() const { return weights_.data(); }
 
-    /** int32 entries between consecutive lanes' tiles (m x m). */
-    size_t laneStride() const { return laneStride_; }
-
-    /** True when this bucket stores weights entry-major. */
-    bool transposed() const { return transposed_; }
-
-    /** int32 entries between consecutive tile entries (transposed). */
+    /** int32 entries between consecutive tile entries. */
     static constexpr size_t kEntryStride = kMaxLanes;
 
     /** Observable mask of pair (i, j) in lane `lane`'s tile. */
     uint64_t
     laneObs(int lane, int i, int j) const
     {
-        return obs_[lane * laneStride_ +
+        return obs_[lane * tileEntries_ +
                     static_cast<size_t>(i) * m_ + j];
     }
 
@@ -373,8 +341,7 @@ class LwtTileBlock
     int m_ = 0;
     int virt_ = -1;
     int lanes_ = 0;
-    bool transposed_ = false;
-    size_t laneStride_ = 0;
+    size_t tileEntries_ = 0;  ///< m x m.
     std::vector<int32_t> weights_;
     std::vector<uint64_t> obs_;
     uint32_t boundaryWeights_[kMaxNodes] = {};

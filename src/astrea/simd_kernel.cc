@@ -461,15 +461,6 @@ matchTile16(const MatchingTable &table, const int32_t *tile,
 }
 
 void
-matchTileLanes(const MatchingTable &table, const int32_t *tiles,
-               uint32_t lanes, size_t lane_stride, KernelMatch *out,
-               KernelKind kind)
-{
-    for (uint32_t l = 0; l < lanes; l++)
-        out[l] = matchTile16(table, tiles + l * lane_stride, kind);
-}
-
-void
 matchTileLanesT(const MatchingTable &table, const int32_t *tiles_t,
                 uint32_t lanes, size_t entry_stride, KernelMatch *out,
                 KernelKind kind)

@@ -108,36 +108,6 @@ KernelMatch matchTile16(const MatchingTable &table, const int32_t *tile,
                         KernelKind kind);
 
 /**
- * Largest tile node count for which the transposed entry-major bucket
- * layout (matchTileLanesT) beats per-lane row-major matching on the
- * given tier. The vector tiers prefer it at every exhaustive size —
- * plain vector loads replace all kernel gathers. The scalar tier
- * walks the transposed layout with strided loads, which lose to the
- * contiguous row-major loop once tables grow past 8 nodes (105 rows),
- * so it caps out earlier.
- */
-constexpr int
-laneMajorMaxNodes(KernelKind kind)
-{
-    return kind == KernelKind::kScalar ? 8 : 12;
-}
-
-/**
- * Lane-major bucket evaluation: one matchTile16-equivalent result per
- * lane of an SoA tile block (lanes tiles of lane_stride int32 entries
- * each, all sharing one MatchingTable), laid out lane-contiguously.
- * Bit-identical to calling matchTile16 per lane — same weight AND
- * winning row. This is the wide path for buckets past
- * laneMajorMaxNodes(kind) — on the scalar tier, the large tables
- * where the contiguous row-major loop wins; other buckets use
- * matchTileLanesT over a transposed block instead. out must hold
- * lanes entries.
- */
-void matchTileLanes(const MatchingTable &table, const int32_t *tiles,
-                    uint32_t lanes, size_t lane_stride,
-                    KernelMatch *out, KernelKind kind);
-
-/**
  * Lane-major bucket evaluation over a TRANSPOSED (entry-major) SoA
  * block: tiles_t[e * entry_stride + lane] holds tile entry e of the
  * given lane, so 8 / 16 consecutive lanes of one entry are one plain
@@ -148,9 +118,9 @@ void matchTileLanes(const MatchingTable &table, const int32_t *tiles,
  * matchTile16 (32-bit sums clamped to the 16-bit ceiling, strict-less
  * first-minimum tie-break over ascending rows). entry_stride must be
  * a multiple of 16 with storage for that many lanes (dead lanes are
- * computed and discarded, never stored to out). Correct for any
- * exhaustive table on any tier; see laneMajorMaxNodes() for when it
- * is the faster choice.
+ * computed and discarded, never stored to out). Every tier evaluates
+ * every exhaustive table this way; the scalar loop walks the lanes
+ * one at a time.
  */
 void matchTileLanesT(const MatchingTable &table,
                      const int32_t *tiles_t, uint32_t lanes,

@@ -5,7 +5,6 @@
 #include <cmath>
 
 #include "common/env.hh"
-#include "common/logging.hh"
 #include "common/weight.hh"
 #include "matching/blossom.hh"
 #include "matching/dp_matcher.hh"
@@ -13,29 +12,6 @@
 
 namespace astrea
 {
-
-namespace
-{
-
-/** Largest HW the bitmask DP oracle can take (dp_matcher.hh). */
-constexpr uint32_t kDpHardCap = 20;
-
-/** Fixed-point scale for exact decade weights in the blossom oracle. */
-constexpr double kExactScale = 1e6;
-
-/** Blossom weight for structurally forbidden pairs. */
-constexpr int64_t kForbidden = 1ll << 40;
-
-int64_t
-scaleExact(double decades)
-{
-    if (!std::isfinite(decades))
-        return kForbidden;
-    int64_t w = static_cast<int64_t>(std::llround(decades * kExactScale));
-    return w < kForbidden ? w : kForbidden;
-}
-
-} // namespace
 
 AuditConfig
 AuditConfig::fromEnv(AuditConfig base)
@@ -46,8 +22,6 @@ AuditConfig::fromEnv(AuditConfig base)
         "ASTREA_AUDIT_QUEUE", base.queueCapacity, 2));
     base.threads = static_cast<unsigned>(env::getUint(
         "ASTREA_AUDIT_THREADS", base.threads, 1));
-    base.dpMaxHw = static_cast<uint32_t>(env::getUint(
-        "ASTREA_AUDIT_DP_MAX_HW", base.dpMaxHw, 0));
     if (env::getBool("ASTREA_AUDIT_EXACT", !base.quantizedWeights))
         base.quantizedWeights = false;
     return base;
@@ -62,9 +36,8 @@ AuditConfig::fromEnv()
 AccuracyAuditor::AccuracyAuditor(const GlobalWeightTable &gwt,
                                  const AuditConfig &config,
                                  std::shared_ptr<const void> keepalive)
-    : config_(config), gwt_(&gwt), keepalive_(std::move(keepalive))
+    : config_(config), gwt_(gwt), keepalive_(std::move(keepalive))
 {
-    config_.dpMaxHw = std::min(config_.dpMaxHw, kDpHardCap);
     config_.threads = std::max(1u, config_.threads);
     if (config_.sampleRate > 0.0) {
         stride_ = config_.sampleRate >= 1.0
@@ -133,92 +106,55 @@ AccuracyAuditor::offer(uint64_t shot, uint32_t worker,
     return true;
 }
 
-double
-AccuracyAuditor::pairWeight(uint32_t a, uint32_t b) const
+AccuracyAuditor::Oracle
+AccuracyAuditor::oracleMatch(const GlobalWeightTable &gwt,
+                             std::span<const uint32_t> defects,
+                             bool quantized)
 {
-    if (config_.quantizedWeights) {
-        // The 255 sentinel stays finite, exactly as the Astrea LWT
-        // tile treats it: the hardware compares raw byte weights.
-        return static_cast<double>(gwt_->pairWeight(a, b)) /
-               kWeightScale;
+    Oracle o;
+    const int n = static_cast<int>(defects.size());
+    auto defect = [&](int i) { return defects[static_cast<size_t>(i)]; };
+    // Decade weight of a pair, or of the boundary when i == j. The
+    // quantized 255 sentinel stays finite, exactly as the Astrea LWT
+    // tile treats it: the hardware compares raw byte weights.
+    auto decades = [&](uint32_t a, uint32_t b) {
+        return quantized ? static_cast<double>(gwt.pairWeight(a, b)) /
+                               kWeightScale
+                         : gwt.exactWeight(a, b);
+    };
+
+    o.usedDp = static_cast<uint32_t>(n) <= kOracleDpMaxHw;
+    if (o.usedDp) {
+        MatchingSolution sol = dpMatchWithBoundary(
+            n, [&](int i, int j) { return decades(defect(i), defect(j)); },
+            [&](int i) { return decades(defect(i), defect(i)); });
+        o.pairs = std::move(sol.pairs);
+    } else {
+        auto fixed = [&](uint32_t a, uint32_t b) -> int64_t {
+            return quantized ? int64_t{gwt.pairWeight(a, b)}
+                             : decadesToFixedPoint(gwt.exactWeight(a, b));
+        };
+        o.pairs = blossomMatchWithBoundary(
+                      n,
+                      [&](int i, int j) {
+                          return fixed(defect(i), defect(j));
+                      },
+                      [&](int i) { return fixed(defect(i), defect(i)); })
+                      .pairs;
     }
-    return gwt_->exactWeight(a, b);
+    for (auto [i, j] : o.pairs) {
+        const uint32_t a = defect(i);
+        const uint32_t b = j < 0 ? a : defect(j);
+        o.weight += decades(a, b);
+        o.obsMask ^= gwt.pairObs(a, b);
+    }
+    return o;
 }
 
 AccuracyAuditor::Oracle
 AccuracyAuditor::oracleDecode(std::span<const uint32_t> defects) const
 {
-    Oracle o;
-    const int n = static_cast<int>(defects.size());
-    if (n == 0)
-        return o;
-
-    if (static_cast<uint32_t>(n) <= config_.dpMaxHw) {
-        o.usedDp = true;
-        MatchingSolution sol = dpMatchWithBoundary(
-            n,
-            [&](int i, int j) {
-                return pairWeight(defects[static_cast<size_t>(i)],
-                                  defects[static_cast<size_t>(j)]);
-            },
-            [&](int i) {
-                return pairWeight(defects[static_cast<size_t>(i)],
-                                  defects[static_cast<size_t>(i)]);
-            });
-        o.weight = sol.totalWeight;
-        for (auto [i, j] : sol.pairs) {
-            uint32_t a = defects[static_cast<size_t>(i)];
-            o.obsMask ^= (j < 0)
-                             ? gwt_->pairObs(a, a)
-                             : gwt_->pairObs(
-                                   a, defects[static_cast<size_t>(j)]);
-        }
-        return o;
-    }
-
-    // Blossom fallback: nodes 0..n-1 are defects, n..2n-1 their
-    // private boundary copies (free to pair with each other), the
-    // same construction as decoders/mwpm_decoder.cc.
-    auto weight = [&](int i, int j) -> int64_t {
-        bool i_real = i < n, j_real = j < n;
-        if (i_real && j_real) {
-            uint32_t a = defects[static_cast<size_t>(i)];
-            uint32_t b = defects[static_cast<size_t>(j)];
-            if (config_.quantizedWeights)
-                return static_cast<int64_t>(gwt_->pairWeight(a, b));
-            return scaleExact(gwt_->exactWeight(a, b));
-        }
-        if (!i_real && !j_real)
-            return 0;
-        int real = i_real ? i : j;
-        int copy = (i_real ? j : i) - n;
-        if (copy != real)
-            return kForbidden;
-        uint32_t a = defects[static_cast<size_t>(real)];
-        if (config_.quantizedWeights)
-            return static_cast<int64_t>(gwt_->pairWeight(a, a));
-        return scaleExact(gwt_->exactWeight(a, a));
-    };
-
-    auto mate = minWeightPerfectMatching(2 * n, weight);
-    for (int i = 0; i < n; i++) {
-        int m = mate[i];
-        uint32_t a = defects[static_cast<size_t>(i)];
-        if (m < n) {
-            if (i < m) {
-                uint32_t b = defects[static_cast<size_t>(m)];
-                o.obsMask ^= gwt_->pairObs(a, b);
-                o.weight += pairWeight(a, b);
-            }
-        } else {
-            ASTREA_CHECK(m - n == i,
-                         "audit oracle: defect matched to foreign "
-                         "boundary copy");
-            o.obsMask ^= gwt_->pairObs(a, a);
-            o.weight += pairWeight(a, a);
-        }
-    }
-    return o;
+    return oracleMatch(gwt_, defects, config_.quantizedWeights);
 }
 
 void
@@ -279,16 +215,10 @@ AccuracyAuditor::auditOne(const AuditSample &s)
     const size_t hw = std::min<size_t>(s.hw, kAuditMaxDefects);
     byHw_[hw].audited.fetch_add(1, std::memory_order_relaxed);
 
-    if (s.prodObs != oracle.obsMask) {
-        observableMismatches_.fetch_add(1, std::memory_order_relaxed);
-        verdict.mismatch = true;
-        captureMismatch(s, verdict);
-        if (s.traceId != 0)
-            telemetry::TraceStore::global().annotateAudit(s.traceId,
-                                                          verdict);
-        return;
-    }
-
+    // Weight first: two optimal matchings may differ in parity (an
+    // equal-weight tie), so a matching as light as the oracle's is
+    // optimal whatever its correction. Only a heavier matching with a
+    // different correction is an observable mismatch.
     double gap = s.prodWeight - oracle.weight;
     if (gap < -weightTol_) {
         // Production claims a lighter matching than the exact oracle
@@ -296,6 +226,15 @@ AccuracyAuditor::auditOne(const AuditSample &s)
         // a quality signal. Counted separately, classified optimal.
         weightUnderruns_.fetch_add(1, std::memory_order_relaxed);
         gap = 0.0;
+    }
+    if (gap > weightTol_ && s.prodObs != oracle.obsMask) {
+        observableMismatches_.fetch_add(1, std::memory_order_relaxed);
+        verdict.mismatch = true;
+        captureMismatch(s, verdict);
+        if (s.traceId != 0)
+            telemetry::TraceStore::global().annotateAudit(s.traceId,
+                                                          verdict);
+        return;
     }
     if (gap <= weightTol_) {
         optimal_.fetch_add(1, std::memory_order_relaxed);
@@ -364,18 +303,6 @@ AccuracyAuditor::drainNow()
         n++;
     }
     return n;
-}
-
-void
-AccuracyAuditor::rebind(const GlobalWeightTable &gwt,
-                        std::shared_ptr<const void> keepalive)
-{
-    const bool was_running = running_.load();
-    stop();  // Joins the pool and drains against the old table.
-    gwt_ = &gwt;
-    keepalive_ = std::move(keepalive);
-    if (was_running)
-        start();
 }
 
 double
@@ -546,7 +473,6 @@ AccuracyAuditor::writeStatusz(telemetry::JsonWriter &w) const
     w.kv("enabled", enabled());
     w.kv("rate", config_.sampleRate);
     w.kv("threads", uint64_t{config_.threads});
-    w.kv("dp_max_hw", uint64_t{config_.dpMaxHw});
     w.kv("quantized", config_.quantizedWeights);
     w.kv("offered", s.offered);
     w.kv("sampled", s.sampled);

@@ -9,18 +9,21 @@
  * bounded lock-free queue (audit/audit_queue.hh) and re-decoded on a
  * background pool against a reference oracle —
  *
- *   - the exact bitmask-DP matcher (matching/dp_matcher.hh) for
- *     Hamming weights up to dpMaxHw (<= 20), and
- *   - blossom MWPM (matching/blossom.hh) with per-defect boundary
- *     copies above that —
+ *   - the exact bitmask-DP matcher (matching/dp_matcher.hh) up to
+ *     kOracleDpMaxHw defects, and
+ *   - blossom (matching/blossom.hh blossomMatchWithBoundary) above —
  *
  * in the production decoder's own weight domain (quantized 1/8-decade
  * GWT weights for the hardware decoders, exact decade weights for the
- * software baseline). Each audited shot is classified as
+ * software baseline). Each audited shot is classified by its weight
+ * first, as
  *
- *   optimal             production weight == oracle weight,
+ *   optimal             production weight == oracle weight, whatever
+ *                       the correction (an equal-weight tie may
+ *                       differ in parity),
  *   suboptimal          weight gap > 0 but same logical correction,
- *   observable-mismatch different logical correction than the oracle,
+ *   observable-mismatch weight gap > 0 and a different logical
+ *                       correction than the oracle's,
  *
  * and give-ups sampled for audit are always oracle-decoded so the
  * report can distinguish recoverable give-ups from shots the oracle
@@ -33,7 +36,7 @@
  * asserts zero steady-state allocations on the enqueue path).
  *
  * Knobs (common/env.hh): ASTREA_AUDIT_RATE, ASTREA_AUDIT_THREADS,
- * ASTREA_AUDIT_QUEUE, ASTREA_AUDIT_DP_MAX_HW, ASTREA_AUDIT_EXACT.
+ * ASTREA_AUDIT_QUEUE, ASTREA_AUDIT_EXACT.
  */
 
 #ifndef ASTREA_AUDIT_AUDITOR_HH
@@ -69,8 +72,6 @@ struct AuditConfig
     size_t queueCapacity = 1024;
     /** Background audit pool size. */
     unsigned threads = 1;
-    /** Use the bitmask DP oracle up to this HW (clamped to 20). */
-    uint32_t dpMaxHw = 16;
     /**
      * Oracle weight domain: true re-decodes over the quantized
      * 1/8-decade GWT weights (what the hardware decoders optimize),
@@ -82,6 +83,20 @@ struct AuditConfig
     static AuditConfig fromEnv(AuditConfig base);
     static AuditConfig fromEnv();
 };
+
+/**
+ * Largest HW the oracle matches with the bitmask DP; blossom takes
+ * every larger one. It is where the two engines' mean times per
+ * re-decode cross: 200 d = 9, p = 3e-3 shots per HW, on a 4-vCPU
+ * AVX-512 Xeon, in microseconds, quantized / exact weights:
+ *
+ *   HW       8          9            10           11           16
+ *   DP       4.2 / 4.1  8.7 / 10.4   19.1 / 17.8  46.9 / 38.5  1907 / 1809
+ *   blossom  6.1 / 6.7  10.6 / 12.6  10.4 / 10.3  17.6 / 16.5  29.8 / 30.6
+ *
+ * A second run put every HW on the same side of the crossover.
+ */
+constexpr uint32_t kOracleDpMaxHw = 9;
 
 /** Gap histogram geometry: 1/8-decade bins 0..31, then overflow. */
 constexpr size_t kAuditGapBuckets = 33;
@@ -126,21 +141,25 @@ class AccuracyAuditor
     /** Synchronously audit queued samples here; returns count. */
     size_t drainNow();
 
-    /**
-     * Swap the weight table (e.g. the serve workload was reconfigured
-     * mid-run): stops the pool, drains outstanding samples against the
-     * old table, rebinds, restarts. Counters carry over.
-     */
-    void rebind(const GlobalWeightTable &gwt,
-                std::shared_ptr<const void> keepalive = nullptr);
-
-    /** One oracle re-decode (exposed for tests and replay). */
+    /** One oracle re-decode. */
     struct Oracle
     {
         double weight = 0.0;
         uint64_t obsMask = 0;
-        bool usedDp = false;  ///< DP oracle vs blossom fallback.
+        bool usedDp = false;  ///< DP oracle vs blossom.
+        /** The matching, as MatchingSolution::pairs. */
+        std::vector<std::pair<int, int>> pairs;
     };
+    /**
+     * The oracle's matching of `defects` over `gwt` in one weight
+     * domain: the DP up to kOracleDpMaxHw defects, blossom above.
+     * The auditor's re-decodes and replay's narration both come from
+     * here, so replay re-derives the matching the auditor judged by.
+     */
+    static Oracle oracleMatch(const GlobalWeightTable &gwt,
+                              std::span<const uint32_t> defects,
+                              bool quantized);
+    /** oracleMatch() over this auditor's table and weight domain. */
     Oracle oracleDecode(std::span<const uint32_t> defects) const;
 
     /** Point-in-time copy of every audit counter. */
@@ -194,10 +213,9 @@ class AccuracyAuditor
     /** Capture an observable mismatch when a capture is armed. */
     void captureMismatch(const AuditSample &s,
                          const telemetry::TraceAuditVerdict &v);
-    double pairWeight(uint32_t a, uint32_t b) const;
 
     AuditConfig config_;
-    const GlobalWeightTable *gwt_;
+    const GlobalWeightTable &gwt_;
     std::shared_ptr<const void> keepalive_;
     uint64_t stride_ = 0;  ///< Audit every stride-th shot; 0 = off.
     double weightTol_ = 1e-9;

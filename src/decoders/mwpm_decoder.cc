@@ -1,40 +1,18 @@
 #include "decoders/mwpm_decoder.hh"
 
 #include <chrono>
-#include <cmath>
 
-#include "common/logging.hh"
 #include "matching/blossom.hh"
 #include "telemetry/telemetry.hh"
 
 namespace astrea
 {
 
-namespace
-{
-
-/** Fixed-point scale: micro-decades keep exact weights exact enough. */
-constexpr double kScale = 1e6;
-
-/** Weight used for structurally forbidden pairs. */
-constexpr int64_t kForbidden = 1ll << 40;
-
-int64_t
-scaleWeight(double decades)
-{
-    if (!std::isfinite(decades))
-        return kForbidden;
-    int64_t w = static_cast<int64_t>(std::llround(decades * kScale));
-    return w < kForbidden ? w : kForbidden;
-}
-
-} // namespace
-
 void
 MwpmDecoder::decodeInto(std::span<const uint32_t> defects,
                         DecodeResult &result, DecodeScratch &scratch)
 {
-    (void)scratch;  // Blossom's work arrays are not pooled (yet).
+    (void)scratch;  // Blossom's work arrays are not pooled.
     result.reset();
     const int n = static_cast<int>(defects.size());
     if (n == 0)
@@ -42,43 +20,26 @@ MwpmDecoder::decodeInto(std::span<const uint32_t> defects,
 
     auto t0 = std::chrono::steady_clock::now();
 
-    // Nodes 0..n-1 are the defects; nodes n..2n-1 are their private
-    // boundary copies. Boundary copy i connects only to defect i (at
-    // the defect's boundary weight) and to other boundary copies (at
-    // zero weight).
-    auto weight = [&](int i, int j) -> int64_t {
-        bool i_real = i < n, j_real = j < n;
-        if (i_real && j_real)
-            return scaleWeight(gwt_.exactWeight(defects[i], defects[j]));
-        if (!i_real && !j_real)
-            return 0;
-        int real = i_real ? i : j;
-        int copy = (i_real ? j : i) - n;
-        if (copy != real)
-            return kForbidden;
-        return scaleWeight(gwt_.exactWeight(defects[real],
-                                            defects[real]));
-    };
+    // Micro-decade fixed point keeps the exact weights exact enough.
+    const MatchingSolution sol = blossomMatchWithBoundary(
+        n,
+        [&](int i, int j) {
+            return decadesToFixedPoint(
+                gwt_.exactWeight(defects[i], defects[j]));
+        },
+        [&](int i) {
+            return decadesToFixedPoint(
+                gwt_.exactWeight(defects[i], defects[i]));
+        });
 
-    auto mate = minWeightPerfectMatching(2 * n, weight);
-
-    result.matchedPairs.reserve(static_cast<size_t>(n));
+    result.matchedPairs.reserve(sol.pairs.size());
     double total = 0.0;
-    for (int i = 0; i < n; i++) {
-        int m = mate[i];
-        if (m < n) {
-            // Defect-defect pair; count it once.
-            if (i < m) {
-                result.obsMask ^= gwt_.pairObs(defects[i], defects[m]);
-                total += gwt_.exactWeight(defects[i], defects[m]);
-                result.matchedPairs.push_back({i, m});
-            }
-        } else {
-            ASTREA_CHECK(m - n == i, "defect matched to foreign boundary");
-            result.obsMask ^= gwt_.pairObs(defects[i], defects[i]);
-            total += gwt_.exactWeight(defects[i], defects[i]);
-            result.matchedPairs.push_back({i, -1});
-        }
+    for (auto [i, j] : sol.pairs) {
+        const uint32_t a = defects[i];
+        const uint32_t b = j < 0 ? a : defects[j];
+        result.obsMask ^= gwt_.pairObs(a, b);
+        total += gwt_.exactWeight(a, b);
+        result.matchedPairs.push_back({i, j});
     }
     result.matchingWeight = total;
 

@@ -3,12 +3,13 @@
  * Idealized software MWPM decoder (the paper's baseline, Sec. 3.3).
  *
  * Solves the matching problem exactly with the blossom algorithm on
- * unquantized weights, using the standard boundary construction: each
- * of the n defects gets a private virtual boundary copy; boundary
- * copies are connected to each other at zero weight, so any subset of
- * defects can terminate on the boundary. Reported latency is measured
- * wall-clock time of the matching step (this is what Fig. 3 plots for
- * BlossomV).
+ * unquantized weights (micro-decade fixed point), at every Hamming
+ * weight, through matching/blossom.hh's boundary construction: the n
+ * defects plus one virtual boundary node for odd n, each pair at
+ * min(direct chain, both to the boundary). A pair resolved through the
+ * boundary is reported as (i, -1) and (j, -1). Reported latency is
+ * measured wall-clock time of the matching step (this is what Fig. 3
+ * plots for BlossomV).
  */
 
 #ifndef ASTREA_DECODERS_MWPM_DECODER_HH

@@ -165,7 +165,6 @@ DecodeServiceCore::DecodeServiceCore(const ServeConfig &config)
     acfg.queueCapacity = static_cast<size_t>(
         std::max<uint64_t>(2, config_.auditQueue));
     acfg.threads = std::max(1u, config_.auditThreads);
-    acfg.dpMaxHw = config_.auditDpMaxHw;
     const std::string canonical =
         DecoderRegistry::global().canonicalName(config_.decoder);
     for (const DecoderInfo &info :
@@ -221,32 +220,6 @@ DecodeServiceCore::DecodeServiceCore(const ServeConfig &config)
 
 DecodeServiceCore::~DecodeServiceCore() = default;
 
-std::shared_ptr<const ExperimentContext>
-DecodeServiceCore::currentContext() const
-{
-    std::lock_guard<std::mutex> lock(ctxMu_);
-    return ctx_;
-}
-
-void
-DecodeServiceCore::setErrorRate(double p)
-{
-    ExperimentConfig ec;
-    ec.distance = config_.distance;
-    ec.rounds = config_.rounds;
-    ec.physicalErrorRate = p;
-    auto fresh = std::make_shared<const ExperimentContext>(ec);
-    {
-        std::lock_guard<std::mutex> lock(ctxMu_);
-        ctx_ = fresh;
-    }
-    // Flush outstanding audits against the old table, then audit the
-    // new workload against its own GWT. Audit counters carry over.
-    audit_->rebind(fresh->gwt(), fresh);
-    inform("decode service: physical error rate now " +
-           std::to_string(p));
-}
-
 void
 DecodeServiceCore::setTickFunction(std::function<uint64_t()> tick)
 {
@@ -256,7 +229,7 @@ DecodeServiceCore::setTickFunction(std::function<uint64_t()> tick)
 std::unique_ptr<DecodeServiceCore::Worker>
 DecodeServiceCore::makeWorker(unsigned index)
 {
-    return std::make_unique<Worker>(config_.seed, index);
+    return std::make_unique<Worker>(config_.seed, index, factory_(*ctx_));
 }
 
 void
@@ -268,18 +241,11 @@ DecodeServiceCore::decodeOnce(Worker &w)
 void
 DecodeServiceCore::decodeBatch(Worker &w, uint64_t shots)
 {
-    auto ctx = currentContext();
-    if (w.ctx.get() != ctx.get()) {
-        // First shot, or the workload was reconfigured mid-run.
-        w.ctx = ctx;
-        w.decoder = factory_(*ctx);
-    }
-
     for (uint64_t n = 0; shots > 0; shots -= n) {
         if (w.stream.remaining() == 0)
             w.stream.nextBlock(nextBlock_);  // An endless stream.
         n = std::min(shots, w.stream.remaining());
-        w.stream.decode(*ctx, n, *w.decoder, config_.decoder.c_str(),
+        w.stream.decode(*ctx_, n, *w.decoder, config_.decoder.c_str(),
                         audit_.get(),
                         [this](uint64_t, telemetry::TraceShotOutcome &o) {
             if (o.hw == 0) {

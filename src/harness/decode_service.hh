@@ -95,8 +95,6 @@ struct ServeConfig
     double auditRate = 0.0;
     unsigned auditThreads = 1;
     uint64_t auditQueue = 1024;
-    /** Use the bitmask-DP oracle up to this HW, blossom above. */
-    uint32_t auditDpMaxHw = 16;
 
     /** Tail-sampled per-decode tracing (telemetry/decode_trace.hh).
      *  Cheap enough to leave on: spans go to preallocated per-thread
@@ -188,7 +186,7 @@ class DecodeServiceCore
     explicit DecodeServiceCore(const ServeConfig &config);
     ~DecodeServiceCore();
 
-    /** Per-worker decode state (context, decoder, shot stream). */
+    /** Per-worker decode state (decoder, shot stream). */
     struct Worker;
 
     std::unique_ptr<Worker> makeWorker(unsigned index);
@@ -205,14 +203,6 @@ class DecodeServiceCore
      * 1, 2, ... of it. Steady state allocates nothing per shot.
      */
     void decodeBatch(Worker &w, uint64_t shots);
-
-    /**
-     * Swap the workload's physical error rate mid-run (rebuilds the
-     * experiment context; workers pick it up on their next shot). The
-     * drift monitor's baseline is deliberately kept — detecting this
-     * change is its job.
-     */
-    void setErrorRate(double p);
 
     /** Tests inject a fake sub-window tick; default is wall-clock. */
     void setTickFunction(std::function<uint64_t()> tick);
@@ -260,13 +250,11 @@ class DecodeServiceCore
     void accountFleetShot(size_t hw, double latency_ns, bool gave_up);
 
   private:
-    std::shared_ptr<const ExperimentContext> currentContext() const;
     double windowSeconds(size_t sub_windows) const;
 
     ServeConfig config_;
     DecoderFactory factory_;
 
-    mutable std::mutex ctxMu_;
     std::shared_ptr<const ExperimentContext> ctx_;
 
     std::unique_ptr<AccuracyAuditor> audit_;
@@ -296,11 +284,11 @@ class DecodeServiceCore
 /** makeWorker()'s opaque state, public so the CLI can embed workers. */
 struct DecodeServiceCore::Worker
 {
-    Worker(uint64_t seed, unsigned index) : stream(seed, UINT64_MAX, index)
+    Worker(uint64_t seed, unsigned index, std::unique_ptr<Decoder> d)
+        : decoder(std::move(d)), stream(seed, UINT64_MAX, index)
     {
     }
 
-    std::shared_ptr<const ExperimentContext> ctx;
     std::unique_ptr<Decoder> decoder;
     /** The block of the service's shot stream this worker holds. */
     ShotStream stream;

@@ -8,10 +8,10 @@
 #include <memory>
 #include <sstream>
 
+#include "audit/auditor.hh"
 #include "common/weight.hh"
 #include "decoders/registry.hh"
 #include "harness/block_engine.hh"
-#include "matching/dp_matcher.hh"
 #include "telemetry/decode_trace.hh"
 #include "telemetry/trace_store.hh"
 
@@ -193,10 +193,10 @@ narrateRecord(std::ostream &out, const ReplayRecord &rec,
         return;
 
     // Records written by the accuracy auditor carry the oracle's
-    // verdict; narrate the divergence and, when the defect set fits
-    // the exact DP matcher, re-derive the oracle's matching in the
-    // same weight domain (quantized LWT decades or exact GWT decades)
-    // so the disagreement is visible pair by pair.
+    // verdict; narrate the divergence and re-derive the oracle's
+    // matching, with the auditor's own engine selection and in the
+    // same weight domain (quantized LWT decades or exact GWT
+    // decades), so the disagreement is visible pair by pair.
     const telemetry::TraceAuditVerdict &audit = rec.audit;
     char oobs[32];
     std::snprintf(oobs, sizeof(oobs), "0x%llx",
@@ -210,8 +210,7 @@ narrateRecord(std::ostream &out, const ReplayRecord &rec,
         << formatDecades(rec.matchingWeight - audit.oracleWeight)
         << " decades\n";
 
-    const size_t n = defects.size();
-    if (n == 0 || n > 20)
+    if (defects.empty())
         return;
     auto pair_weight = [&](uint32_t a, uint32_t b) {
         if (audit.quantized)
@@ -219,18 +218,10 @@ narrateRecord(std::ostream &out, const ReplayRecord &rec,
                    kWeightScale;
         return gwt.exactWeight(a, b);
     };
-    MatchingSolution oracle = dpMatchWithBoundary(
-        static_cast<int>(n),
-        [&](int i, int j) {
-            return pair_weight(defects[static_cast<size_t>(i)],
-                               defects[static_cast<size_t>(j)]);
-        },
-        [&](int i) {
-            uint32_t d = defects[static_cast<size_t>(i)];
-            return pair_weight(d, d);
-        });
-    out << "  oracle matching (weight "
-        << formatDecades(oracle.totalWeight) << " decades):\n";
+    const AccuracyAuditor::Oracle oracle =
+        AccuracyAuditor::oracleMatch(gwt, defects, audit.quantized);
+    out << "  oracle matching (weight " << formatDecades(oracle.weight)
+        << " decades):\n";
     for (auto [a, b] : oracle.pairs) {
         uint32_t da = defects[static_cast<size_t>(a)];
         if (b < 0)

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 #include <limits>
 
 #include "common/logging.hh"
@@ -793,6 +794,65 @@ minWeightPerfectMatching(int num_vertices,
     for (int v = 0; v < num_vertices; v++)
         ASTREA_CHECK(mate[v] >= 0, "perfect matching is not perfect");
     return mate;
+}
+
+MatchingSolution
+blossomMatchWithBoundary(
+    int n, const std::function<int64_t(int, int)> &pair_weight,
+    const std::function<int64_t(int)> &boundary_weight)
+{
+    MatchingSolution sol;
+    if (n == 0)
+        return sol;
+
+    std::vector<int64_t> boundary(static_cast<size_t>(n));
+    for (int i = 0; i < n; i++)
+        boundary[static_cast<size_t>(i)] = boundary_weight(i);
+    auto via_boundary = [&](int i, int j) {
+        return boundary[static_cast<size_t>(i)] +
+               boundary[static_cast<size_t>(j)];
+    };
+
+    // Node n, present for odd n, is the virtual boundary node.
+    std::vector<int> mate = minWeightPerfectMatching(
+        n + (n & 1), [&](int i, int j) -> int64_t {
+            if (j == n)
+                return boundary[static_cast<size_t>(i)];
+            return std::min(pair_weight(i, j), via_boundary(i, j));
+        });
+
+    // Mate n marks the boundary from here on: split every pair that
+    // is strictly cheaper through it.
+    for (int i = 0; i < n; i++) {
+        const int m = mate[static_cast<size_t>(i)];
+        if (m > i && m < n && pair_weight(i, m) > via_boundary(i, m))
+            mate[static_cast<size_t>(i)] = mate[static_cast<size_t>(m)] =
+                n;
+    }
+    int64_t total = 0;
+    sol.pairs.reserve(static_cast<size_t>(n));
+    for (int i = 0; i < n; i++) {
+        const int m = mate[static_cast<size_t>(i)];
+        if (m == n) {
+            sol.pairs.push_back({i, -1});
+            total += boundary[static_cast<size_t>(i)];
+        } else if (m > i) {
+            sol.pairs.push_back({i, m});
+            total += pair_weight(i, m);
+        }
+    }
+    sol.totalWeight = static_cast<double>(total);
+    return sol;
+}
+
+int64_t
+decadesToFixedPoint(double decades)
+{
+    if (!std::isfinite(decades))
+        return kFixedPointNoPath;
+    const int64_t w =
+        static_cast<int64_t>(std::llround(decades * 1e6));
+    return std::min(w, kFixedPointNoPath);
 }
 
 } // namespace astrea

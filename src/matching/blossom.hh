@@ -10,12 +10,15 @@
  * the dual updates are exact; callers quantize real weights before
  * invoking it (the wrappers below do this for decade weights).
  *
- * Two entry points are provided:
+ * Three entry points are provided:
  *  - maxWeightMatching(): general maximum-weight matching, optionally
  *    constrained to maximum cardinality;
  *  - minWeightPerfectMatching(): minimum-weight perfect matching on a
- *    complete even-order graph (the decoder's formulation), via the
- *    usual weight reflection.
+ *    complete even-order graph, via the usual weight reflection;
+ *  - blossomMatchWithBoundary(): the decoder's formulation, defects
+ *    that may each end on the boundary, on the n defects plus one
+ *    virtual boundary node with the boundary folded into the pair
+ *    weights (DESIGN.md section 4, "Boundary trick").
  */
 
 #ifndef ASTREA_MATCHING_BLOSSOM_HH
@@ -24,6 +27,8 @@
 #include <cstdint>
 #include <functional>
 #include <vector>
+
+#include "matching/dp_matcher.hh"
 
 namespace astrea
 {
@@ -58,6 +63,38 @@ std::vector<int> maxWeightMatching(int num_vertices,
  */
 std::vector<int> minWeightPerfectMatching(
     int num_vertices, const std::function<int64_t(int, int)> &weight);
+
+/**
+ * Exact minimum-weight matching with boundary, by blossom; the same
+ * shape and optimum as dpMatchWithBoundary(), at any n.
+ *
+ * Runs minWeightPerfectMatching() on the n defects, plus one virtual
+ * boundary node at pair weight boundary_weight(i) when n is odd, with
+ * each defect pair at min(pair_weight(i, j), boundary_weight(i) +
+ * boundary_weight(j)) — the construction Astrea's LWT tile uses. A
+ * pair that is cheaper through the boundary comes back as (i, -1) and
+ * (j, -1); on equal cost the direct pair wins, as
+ * GlobalWeightTable::effectiveObs() decides. Pairs are listed by
+ * ascending first index: (i, j) with i < j, or (i, -1) for the
+ * boundary. totalWeight is the integer optimum.
+ *
+ * @param n Number of defects.
+ * @param pair_weight pair_weight(i, j) for i < j, non-negative.
+ * @param boundary_weight boundary_weight(i), non-negative.
+ */
+MatchingSolution blossomMatchWithBoundary(
+    int n, const std::function<int64_t(int, int)> &pair_weight,
+    const std::function<int64_t(int)> &boundary_weight);
+
+/** Blossom weight of "no path"; fixed-point weights saturate here. */
+constexpr int64_t kFixedPointNoPath = int64_t{1} << 40;
+
+/**
+ * An exact decade weight in blossom's integer domain: micro-decades
+ * (llround(1e6 * decades)), saturating at kFixedPointNoPath, which
+ * also stands for an infinite weight.
+ */
+int64_t decadesToFixedPoint(double decades);
 
 /*
  * Every maxWeightMatching() call verifies complementary slackness of

@@ -4,9 +4,11 @@
  *
  * For n <= 20 defects this computes the true MWPM — including the
  * option of matching any subset of defects individually to the boundary
- * — in O(2^n * n) time. It serves two purposes: an independent oracle
- * for property-testing the blossom implementation and the Astrea
- * enumerator, and a convenient exact solver inside unit tests.
+ * — in O(2^n * n) time. It is the accuracy auditor's engine for small
+ * Hamming weights, where it beats blossom (audit/auditor.hh
+ * kOracleDpMaxHw), and, sharing no code with blossom, the independent
+ * reference that property tests hold blossomMatchWithBoundary() and
+ * the Astrea enumerator to.
  */
 
 #ifndef ASTREA_MATCHING_DP_MATCHER_HH

@@ -4,7 +4,7 @@
  * bounded lock-free queue (audit/audit_queue.hh): queue semantics,
  * oracle correctness in both weight domains, shot classification
  * (optimal / suboptimal / observable-mismatch / weight-underrun),
- * give-up oracle coverage, drop accounting, weight-table rebinding,
+ * give-up oracle coverage, drop accounting,
  * shot-indexed sampling that audits the same shots at any thread count,
  * the trace-store capture on observable mismatch, and the decode
  * service's schema-v2 audit surfaces.
@@ -24,6 +24,7 @@
 #include "audit/auditor.hh"
 #include "common/rng.hh"
 #include "common/weight.hh"
+#include "matching/dp_matcher.hh"
 #include "decoders/registry.hh"
 #include "harness/block_engine.hh"
 #include "harness/decode_service.hh"
@@ -131,22 +132,64 @@ struct ScopedEnv
 
 TEST(AuditorTest, OracleDecodeFindsMinimumInBothBackends)
 {
-    GlobalWeightTable gwt = tinyGwt();
-
-    AccuracyAuditor dp(gwt, testAuditConfig());
-    auto o = dp.oracleDecode(kBothDefects);
+    GlobalWeightTable tiny = tinyGwt();
+    AccuracyAuditor auditor(tiny, testAuditConfig());
+    auto o = auditor.oracleDecode(kBothDefects);
     EXPECT_TRUE(o.usedDp);
     EXPECT_DOUBLE_EQ(o.weight, 1.0);
     EXPECT_EQ(o.obsMask, 1u);
 
-    // dpMaxHw = 0 forces the blossom fallback; same optimum.
-    AuditConfig blossom_cfg = testAuditConfig();
-    blossom_cfg.dpMaxHw = 0;
-    AccuracyAuditor blossom(gwt, blossom_cfg);
-    o = blossom.oracleDecode(kBothDefects);
-    EXPECT_FALSE(o.usedDp);
-    EXPECT_DOUBLE_EQ(o.weight, 1.0);
-    EXPECT_EQ(o.obsMask, 1u);
+    // One shot at the crossover HW takes the DP, one just above it
+    // blossom; in both weight domains each reaches the DP optimum,
+    // and its weight and observable are its own pairs'.
+    const uint32_t n = kOracleDpMaxHw + 1;
+    std::vector<QWeight> q(size_t{n} * n);
+    std::vector<double> exact(q.size());
+    std::vector<uint64_t> masks(q.size());
+    Rng rng(17);
+    for (uint32_t a = 0; a < n; a++) {
+        for (uint32_t b = a; b < n; b++) {
+            // Cheap boundaries send some defects there.
+            const uint64_t hi = a == b ? 24 : 64;
+            const QWeight w = static_cast<QWeight>(rng.uniformInt(hi) + 4);
+            const double e = w / 8.0 + rng.uniform() / 16.0;
+            const uint64_t m = rng.uniformInt(4);
+            q[a * n + b] = q[b * n + a] = w;
+            exact[a * n + b] = exact[b * n + a] = e;
+            masks[a * n + b] = masks[b * n + a] = m;
+        }
+    }
+    GlobalWeightTable gwt(n, q, exact, masks);
+    for (bool quantized : {true, false}) {
+        for (uint32_t hw : {kOracleDpMaxHw, kOracleDpMaxHw + 1}) {
+            SCOPED_TRACE(testing::Message() << "quantized " << quantized
+                                            << " hw " << hw);
+            std::vector<uint32_t> defects(hw);
+            for (uint32_t i = 0; i < hw; i++)
+                defects[i] = i;
+            auto weight = [&](uint32_t a, uint32_t b) {
+                return quantized ? gwt.pairWeight(a, b) / 8.0
+                                 : gwt.exactWeight(a, b);
+            };
+            MatchingSolution dp = dpMatchWithBoundary(
+                static_cast<int>(hw),
+                [&](int i, int j) { return weight(i, j); },
+                [&](int i) { return weight(i, i); });
+
+            auto o = AccuracyAuditor::oracleMatch(gwt, defects, quantized);
+            EXPECT_EQ(o.usedDp, hw <= kOracleDpMaxHw);
+            EXPECT_NEAR(o.weight, dp.totalWeight, quantized ? 1e-12 : 1e-5);
+            double sum = 0.0;
+            uint64_t obs = 0;
+            for (auto [i, j] : o.pairs) {
+                const int b = j < 0 ? i : j;
+                sum += weight(i, b);
+                obs ^= gwt.pairObs(i, b);
+            }
+            EXPECT_DOUBLE_EQ(o.weight, sum);
+            EXPECT_EQ(o.obsMask, obs);
+        }
+    }
 }
 
 TEST(AuditorTest, ClassifiesOptimalSuboptimalAndMismatch)
@@ -186,6 +229,38 @@ TEST(AuditorTest, ClassifiesOptimalSuboptimalAndMismatch)
     EXPECT_EQ(s.gapBuckets[24], 1u);
     EXPECT_DOUBLE_EQ(s.gapSumDecades, 3.0);
     EXPECT_EQ(s.gapCount, 3u);  // Mismatches carry no gap.
+}
+
+TEST(AuditorTest, EqualWeightTieOfOtherParityIsOptimal)
+{
+    // The direct pair (2 decades, obs 1) and both defects to the
+    // boundary (1 + 1 decades, obs 0) tie. Production took the direct
+    // pair; whichever the oracle took, the decode is optimal, not an
+    // observable mismatch, and writes no capture.
+    namespace fs = std::filesystem;
+    const std::string dir = ::testing::TempDir() + "audit_tie_dir";
+    fs::remove_all(dir);
+    fs::create_directories(dir);
+    auto &store = telemetry::TraceStore::global();
+    store.setRunInfo("{\"distance\":3}", "{\"name\":\"Astrea\"}");
+    store.setCaptureDir(dir, 8, 0);
+
+    GlobalWeightTable gwt(2, {8, 16, 16, 8}, {1.0, 2.0, 2.0, 1.0},
+                          {0, 1, 1, 0});
+    for (bool quantized : {true, false}) {
+        AuditConfig cfg = testAuditConfig();
+        cfg.quantizedWeights = quantized;
+        AccuracyAuditor auditor(gwt, cfg);
+        auditor.offer(0, 0, kBothDefects, prodResult(1, 2.0), 1);
+        auditor.offer(1, 0, kBothDefects, prodResult(0, 2.0), 1);
+        EXPECT_EQ(auditor.drainNow(), 2u);
+        auto s = auditor.snapshot();
+        EXPECT_EQ(s.optimal, 2u) << "quantized " << quantized;
+        EXPECT_EQ(s.observableMismatches, 0u);
+        EXPECT_EQ(s.captures, 0u);
+    }
+    store.setCaptureDir("");
+    EXPECT_TRUE(fs::is_empty(dir));
 }
 
 TEST(AuditorTest, GiveUpsAreAlwaysSampledAndOracleAudited)
@@ -252,27 +327,6 @@ TEST(AuditorTest, OversizeSyndromesAreCountedAndDropped)
     auto s = auditor.snapshot();
     EXPECT_EQ(s.oversizeDrops, 1u);
     EXPECT_EQ(s.enqueued, 0u);
-}
-
-TEST(AuditorTest, RebindCarriesCountersToNewTable)
-{
-    GlobalWeightTable a = tinyGwt();
-    // Same geometry, heavier direct pair (2.5 decades): the weight-1
-    // production matching becomes an underrun there.
-    GlobalWeightTable b(2, {16, 20, 20, 16}, {2.0, 2.5, 2.5, 2.0},
-                        {1, 1, 1, 0});
-    AccuracyAuditor auditor(a, testAuditConfig());
-
-    auditor.offer(0, 0, kBothDefects, prodResult(1, 1.0), 1);
-    auditor.drainNow();
-    auditor.rebind(b);
-    auditor.offer(1, 0, kBothDefects, prodResult(1, 2.5), 1);
-    auditor.drainNow();
-
-    auto s = auditor.snapshot();
-    EXPECT_EQ(s.completed, 2u);
-    EXPECT_EQ(s.optimal, 2u);
-    EXPECT_EQ(s.weightUnderruns, 0u);
 }
 
 TEST(AuditorTest, BackgroundPoolDrainsQueue)
@@ -377,13 +431,11 @@ TEST(AuditorTest, AstreaMatchingsAreOptimalOnRealSyndromes)
 
     auto s = auditor.snapshot();
     EXPECT_EQ(s.completed, audited);
-    // Weight-suboptimality or an underrun would be a real decoder (or
-    // oracle) bug; observable mismatches are tolerated only as rare
-    // degenerate ties (equal weight, different parity tie-break).
+    // Any gap would be a real decoder (or oracle) bug. An
+    // equal-weight tie of another parity is optimal.
     EXPECT_EQ(s.suboptimal, 0u);
     EXPECT_EQ(s.weightUnderruns, 0u);
-    EXPECT_GE(s.optimalityRate(), 0.98)
-        << "mismatches=" << s.observableMismatches;
+    EXPECT_EQ(s.observableMismatches, 0u);
 }
 
 TEST(AuditorTest, RunAuditsTheSameShotsAtAnyThreadCount)
@@ -510,7 +562,10 @@ TEST(AuditorTest, MismatchCaptureReplaysAndNarratesDivergence)
     EXPECT_EQ(summary.mismatches, 0u) << narration.str();
     const std::string text = narration.str();
     EXPECT_NE(text.find("[trigger]"), std::string::npos) << text;
-    EXPECT_NE(text.find("audit oracle (dp, exact weights)"),
+    // The oracle engine follows the trigger's HW, as in the auditor.
+    const std::string engine =
+        capture.records.back().hw <= kOracleDpMaxHw ? "dp" : "mwpm";
+    EXPECT_NE(text.find("audit oracle (" + engine + ", exact weights)"),
               std::string::npos)
         << text;
     EXPECT_NE(text.find("[observable mismatch]"), std::string::npos);
@@ -571,13 +626,11 @@ TEST(DecodeServiceAuditTest, MetricsAndStatuszExposeAuditFamilies)
     EXPECT_GT(doc["audit"]["completed"].asUint(0), 0u);
     EXPECT_EQ(doc["audit"]["queue_drops"].asUint(1), 0u);
     // Astrea within its supported HW is exhaustively weight-optimal,
-    // so no audit may classify as suboptimal. Observable mismatches
-    // can still (rarely) occur on degenerate ties — equal-weight
-    // matchings with different logical parity, where Astrea's
-    // tie-break differs from the oracle's — so the optimality rate is
-    // bounded, not exactly 1.
+    // and an equal-weight tie of another parity counts as optimal, so
+    // every classified audit is optimal.
     EXPECT_EQ(doc["audit"]["suboptimal"].asUint(1), 0u);
-    EXPECT_GE(doc["audit"]["optimality_rate"].asNumber(0.0), 0.99);
+    EXPECT_EQ(doc["audit"]["observable_mismatches"].asUint(1), 0u);
+    EXPECT_DOUBLE_EQ(doc["audit"]["optimality_rate"].asNumber(0.0), 1.0);
 }
 
 TEST(DecodeServiceAuditTest, SoftwareDecoderAuditsInExactDomain)

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "common/rng.hh"
 #include "matching/blossom.hh"
@@ -225,25 +226,85 @@ TEST(BlossomRandom, GeneralMatchingBeatsGreedyOnSparseGraphs)
     }
 }
 
+/**
+ * Check one boundary matching over weights w (pairs) and wb (the
+ * boundary): every defect appears once, pairs are (i, j) with i < j
+ * or (i, -1) in ascending first index, totalWeight adds up, and no
+ * direct pair is dearer than sending both defects to the boundary.
+ * Returns the number of boundary pairs.
+ */
+int
+checkBoundaryMatching(const MatchingSolution &sol, int n,
+                      const std::vector<std::vector<int64_t>> &w,
+                      const std::vector<int64_t> &wb)
+{
+    std::vector<int> seen(static_cast<size_t>(n), 0);
+    int64_t total = 0;
+    int boundary_pairs = 0, last = -1;
+    for (auto [i, j] : sol.pairs) {
+        EXPECT_GT(i, last);
+        last = i;
+        seen[static_cast<size_t>(i)]++;
+        if (j < 0) {
+            total += wb[i];
+            boundary_pairs++;
+            continue;
+        }
+        EXPECT_LT(i, j);
+        seen[static_cast<size_t>(j)]++;
+        total += w[i][j];
+        EXPECT_LE(w[i][j], wb[i] + wb[j]) << "pair " << i << "-" << j;
+    }
+    for (int v = 0; v < n; v++)
+        EXPECT_EQ(seen[static_cast<size_t>(v)], 1) << "defect " << v;
+    EXPECT_EQ(static_cast<double>(total), sol.totalWeight);
+    return boundary_pairs;
+}
+
 TEST(BlossomBoundary, DuplicationMatchesDpWithBoundary)
 {
-    // The decoder's boundary construction (n defects + n boundary
-    // copies) must give the same optimum as the DP that allows
-    // arbitrary boundary matches.
+    // blossomMatchWithBoundary (the n defects plus one virtual node
+    // for odd n, on effective pair weights) and the 2n-node
+    // duplication graph (n defects plus n private boundary copies)
+    // must both reach the DP optimum, which allows arbitrary boundary
+    // matches. Every n from 0 to 16, in small integers like the
+    // quantized GWT's and in micro-decade fixed point; cheap
+    // boundaries in half the trials send several defects there.
     Rng rng(99);
-    for (int trial = 0; trial < 60; trial++) {
-        const int n = 2 + static_cast<int>(rng.uniformInt(9));  // 2..10
-        std::vector<std::vector<int64_t>> w(n, std::vector<int64_t>(n));
-        std::vector<int64_t> wb(n);
+    int several_to_boundary = 0, split_pairs = 0;
+    for (int trial = 0; trial < 4 * 17; trial++) {
+        const int n = trial % 17;
+        const bool fixed_point = (trial / 17) % 2 == 1;
+        const bool cheap_boundary = trial / 34 == 1;
+        const uint64_t range = fixed_point ? 30000000 : 60;
+        const uint64_t brange = cheap_boundary ? range / 4 : range;
+        std::vector<std::vector<int64_t>> w(
+            static_cast<size_t>(n), std::vector<int64_t>(n));
+        std::vector<int64_t> wb(static_cast<size_t>(n));
         for (int i = 0; i < n; i++) {
-            wb[i] = static_cast<int64_t>(rng.uniformInt(60)) + 1;
-            for (int j = i + 1; j < n; j++) {
+            wb[i] = static_cast<int64_t>(rng.uniformInt(brange)) + 1;
+            for (int j = i + 1; j < n; j++)
                 w[i][j] = w[j][i] =
-                    static_cast<int64_t>(rng.uniformInt(60)) + 1;
-            }
+                    static_cast<int64_t>(rng.uniformInt(range)) + 1;
         }
 
-        constexpr int64_t kBig = 1ll << 30;
+        MatchingSolution sol = blossomMatchWithBoundary(
+            n, [&](int i, int j) { return w[i][j]; },
+            [&](int i) { return wb[i]; });
+        const int boundary_pairs = checkBoundaryMatching(sol, n, w, wb);
+        several_to_boundary += boundary_pairs >= 2 ? 1 : 0;
+        // Without the virtual node (even n), a boundary pair is half
+        // of a pair that was cheaper through the boundary.
+        split_pairs += n % 2 == 0 ? boundary_pairs / 2 : 0;
+
+        MatchingSolution dp = dpMatchWithBoundary(
+            n,
+            [&](int i, int j) { return static_cast<double>(w[i][j]); },
+            [&](int i) { return static_cast<double>(wb[i]); });
+        EXPECT_EQ(sol.totalWeight, dp.totalWeight)
+            << "trial " << trial << " n=" << n;
+
+        constexpr int64_t kBig = 1ll << 40;
         auto dup_weight = [&](int i, int j) -> int64_t {
             bool ir = i < n, jr = j < n;
             if (ir && jr)
@@ -255,25 +316,58 @@ TEST(BlossomBoundary, DuplicationMatchesDpWithBoundary)
             return (copy == real) ? wb[real] : kBig;
         };
         auto mate = minWeightPerfectMatching(2 * n, dup_weight);
-        int64_t blossom_total = 0;
+        int64_t dup_total = 0;
         for (int v = 0; v < n; v++) {
             if (mate[v] < n) {
                 if (v < mate[v])
-                    blossom_total += w[v][mate[v]];
+                    dup_total += w[v][mate[v]];
             } else {
                 ASSERT_EQ(mate[v] - n, v);
-                blossom_total += wb[v];
+                dup_total += wb[v];
             }
         }
-
-        MatchingSolution dp = dpMatchWithBoundary(
-            n,
-            [&](int i, int j) { return static_cast<double>(w[i][j]); },
-            [&](int i) { return static_cast<double>(wb[i]); });
-        EXPECT_EQ(blossom_total,
-                  static_cast<int64_t>(std::llround(dp.totalWeight)))
+        EXPECT_EQ(static_cast<double>(dup_total), dp.totalWeight)
             << "trial " << trial << " n=" << n;
     }
+    EXPECT_GT(several_to_boundary, 5);
+    EXPECT_GT(split_pairs, 5);
+}
+
+TEST(BlossomBoundary, DirectPairWinsEqualBoundaryCost)
+{
+    // Every pair costs exactly its two boundary weights, so each
+    // matching is optimal. The direct pairs win the ties; an odd n
+    // leaves one defect on the virtual boundary node.
+    Rng rng(7);
+    for (int n = 1; n <= 9; n++) {
+        std::vector<int64_t> wb(static_cast<size_t>(n));
+        int64_t all_boundary = 0;
+        for (int i = 0; i < n; i++) {
+            wb[i] = static_cast<int64_t>(rng.uniformInt(200)) + 1;
+            all_boundary += wb[i];
+        }
+        std::vector<std::vector<int64_t>> w(
+            static_cast<size_t>(n), std::vector<int64_t>(n));
+        for (int i = 0; i < n; i++)
+            for (int j = 0; j < n; j++)
+                w[i][j] = wb[i] + wb[j];
+        MatchingSolution sol = blossomMatchWithBoundary(
+            n, [&](int i, int j) { return w[i][j]; },
+            [&](int i) { return wb[i]; });
+        EXPECT_EQ(checkBoundaryMatching(sol, n, w, wb), n % 2)
+            << "n=" << n;
+        EXPECT_EQ(sol.totalWeight, static_cast<double>(all_boundary));
+    }
+}
+
+TEST(BlossomBoundary, FixedPointSaturatesAtNoPath)
+{
+    EXPECT_EQ(decadesToFixedPoint(2.5), 2500000);
+    EXPECT_EQ(decadesToFixedPoint(1.0000004), 1000000);
+    EXPECT_EQ(decadesToFixedPoint(
+                  std::numeric_limits<double>::infinity()),
+              kFixedPointNoPath);
+    EXPECT_EQ(decadesToFixedPoint(1e9), kFixedPointNoPath);
 }
 
 TEST(Blossom, RejectsOddPerfectMatching)

@@ -19,6 +19,8 @@
 #include <string>
 #include <vector>
 
+#include "common/bitvec.hh"
+#include "common/rng.hh"
 #include "harness/decode_service.hh"
 #include "harness/trace_io.hh"
 #include "net/http_client.hh"
@@ -207,11 +209,23 @@ TEST(DecodeServiceCoreTest, DriftMonitorReactsToErrorRateChange)
     EXPECT_LT(core.drift().chiSquare(), core.drift().threshold());
     EXPECT_FALSE(core.drift().alarmed());
 
-    // Crank the physical error rate 20x: the Hamming-weight
-    // distribution shifts and the chi-square distance must follow.
-    core.setErrorRate(2e-2);
-    for (int i = 0; i < 2000; i++)
-        core.decodeOnce(*w);
+    // A device drifted to 20x the physical error rate: its Hamming
+    // weights, fed through fleet accounting into the same monitor,
+    // shift the distribution, and the chi-square distance must follow.
+    ExperimentConfig drifted;
+    drifted.distance = testConfig().distance;
+    drifted.physicalErrorRate = 2e-2;
+    ExperimentContext ctx(drifted);
+    Rng rng(3);
+    BitVec dets(ctx.circuit().numDetectors());
+    BitVec obs(ctx.circuit().numObservables());
+    std::vector<FleetJob> jobs(2000);
+    for (FleetJob &job : jobs) {
+        ctx.sampler().sample(rng, dets, obs);
+        job.hw = static_cast<uint16_t>(dets.popcount());
+    }
+    const std::vector<DecodeResult> results(jobs.size());
+    core.accountFleetFlush(jobs, results);
     EXPECT_GT(core.drift().chiSquare(), core.drift().threshold());
     EXPECT_TRUE(core.drift().alarmed());
 

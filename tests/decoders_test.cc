@@ -84,6 +84,21 @@ TEST(MwpmDecoder, TotalWeightEqualsDpOptimum)
     }
 }
 
+TEST(MwpmDecoder, PairCheaperThroughBoundaryReportsTwoBoundaryPairs)
+{
+    // Defects 0 and 1: the direct chain costs 5 decades (obs 1), each
+    // boundary 1 decade (obs 2 and 4). The optimum sends both to the
+    // boundary, and the decoder names it as two boundary pairs.
+    const GlobalWeightTable gwt(2, {8, 40, 40, 8}, {1.0, 5.0, 5.0, 1.0},
+                                {2, 1, 1, 4});
+    MwpmDecoder dec(gwt);
+    DecodeResult r = dec.decode({0, 1});
+    const std::vector<std::pair<int, int>> expect = {{0, -1}, {1, -1}};
+    EXPECT_EQ(r.matchedPairs, expect);
+    EXPECT_DOUBLE_EQ(r.matchingWeight, 2.0);
+    EXPECT_EQ(r.obsMask, 6u);
+}
+
 TEST(MwpmDecoder, ReportsWallClockLatency)
 {
     MwpmDecoder dec(d5Context().gwt());

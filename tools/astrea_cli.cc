@@ -273,8 +273,6 @@ commandServe(const Options &opts)
         "audit-threads", env::getUint("ASTREA_AUDIT_THREADS", 1, 1)));
     cfg.auditQueue = opts.getUint(
         "audit-queue", env::getUint("ASTREA_AUDIT_QUEUE", 1024, 2));
-    cfg.auditDpMaxHw = static_cast<uint32_t>(opts.getUint(
-        "audit-dp-max-hw", env::getUint("ASTREA_AUDIT_DP_MAX_HW", 16)));
     cfg.traceEnabled =
         opts.getUint("trace", env::getBool("ASTREA_TRACE", true) ? 1
                                                                  : 0) != 0;
@@ -545,7 +543,7 @@ usage(const char *argv0)
         "[--threads=N] [--port=N] [--bind=ADDR] [--duration=2s] "
         "[--port-file=PATH] [--budget-ns=NS] [--audit-rate=F] "
         "[--audit-threads=N] [--audit-queue=N] "
-        "[--audit-dp-max-hw=N] [--trace=0|1] [--trace-tail-ns=NS] "
+        "[--trace=0|1] [--trace-tail-ns=NS] "
         "[--trace-stride=N] [--trace-ring=N] [--fleet=0|1] "
         "[--fleet-shards=N] [--fleet-ring=N] [--fleet-max-batch=N] "
         "[--fleet-shed-low=F] [--fleet-shed-high=F] "
